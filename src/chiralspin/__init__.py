@@ -4,7 +4,7 @@ radical-solvable spectra.
 Build spin operator matrices for any half-integer j, assemble the model
 Hamiltonians, certify operators that anticommute with them (and hence force
 mirror-symmetric spectra), and cross-check closed-form eigenvalues from the
-characteristic polynomial against a self-contained numeric eigensolver.
+characteristic polynomial against the numeric spectrum from LAPACK.
 hbar = 1 throughout.
 """
 

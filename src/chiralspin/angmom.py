@@ -24,9 +24,6 @@ __all__ = [
     "ladder_action_check",
 ]
 
-_SPIN_FIELDS = ("j", "j1", "j2")
-
-
 @dataclass(frozen=True, order=True)
 class SpinLabel:
     """Spin quantum number j, stored exactly as the integer 2j."""

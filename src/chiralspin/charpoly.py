@@ -1,7 +1,7 @@
 """Characteristic polynomials via the Faddeev-LeVerrier trace recursion,
 parity reduction to a polynomial in lambda^2, and closed-form (radical) root
 extraction up to quartic reduced degree, cross-checked against the numeric
-eigensolver."""
+spectrum from LAPACK, which shares no code with the trace recursion."""
 
 from __future__ import annotations
 

@@ -13,7 +13,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,16 +24,6 @@ from .rotations import CompositeRotation, RotationSpec, composite_matrix
 TEXT_DIGITS = 6
 
 _OPERATOR_NAMES = ("jx", "jy", "jz", "jplus", "jminus", "jsq")
-
-
-@dataclass(frozen=True)
-class ScanRow:
-    """One grid point of a parameter scan."""
-
-    param_value: float
-    eigenvalues: tuple[float, ...]
-    pairing_ok: bool
-    max_pair_mismatch: float
 
 
 def _fmt(x, digits: int = TEXT_DIGITS) -> str:
@@ -288,17 +277,11 @@ def cmd_scan(args) -> int:
     rows = []
     for value, built in zip(values, built_models):
         # diagonalize the shifted (chiral) part; emit physical eigenvalues
-        shifted_eigs = linalg.hermitian_eigensolve(models.shifted_hamiltonian(built)).eigenvalues
-        tol = 1e-9 * max(1.0, float(np.linalg.norm(shifted_eigs)))
+        shifted = models.shifted_hamiltonian(built)
+        shifted_eigs = linalg.hermitian_eigensolve(shifted).eigenvalues
+        tol = chiral.default_pairing_tol(shifted)
         report = chiral.pairing_check(shifted_eigs, tol, tol)
-        rows.append(
-            ScanRow(
-                float(value),
-                tuple(float(x + built.shift) for x in shifted_eigs),
-                report.is_chiral_paired,
-                report.max_mismatch,
-            )
-        )
+        rows.append((float(value), shifted_eigs + built.shift, report))
     header = (
         ["param", args.param]
         + [f"lambda_{i}" for i in range(1, dim + 1)]
@@ -306,12 +289,13 @@ def cmd_scan(args) -> int:
     )
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            cells = [args.param, _csv(row.param_value)]
-            cells += [_csv(v) for v in row.eigenvalues]
-            cells += ["true" if row.pairing_ok else "false", _csv(row.max_pair_mismatch)]
+        for value, eigs, report in rows:
+            cells = [args.param, _csv(value)]
+            cells += [_csv(v) for v in eigs]
+            cells += ["true" if report.is_chiral_paired else "false", _csv(report.max_mismatch)]
             fh.write(",".join(cells) + "\n")
-    failures = [row for row in rows if not row.pairing_ok]
+    failures = [(value, report) for value, _, report in rows if not report.is_chiral_paired]
+    first_value, first_report = failures[0] if failures else (None, None)
     if getattr(args, "format", "text") == "json":
         payload = {
             "rows": len(rows),
@@ -320,8 +304,8 @@ def cmd_scan(args) -> int:
             "first_failure": None
             if not failures
             else {
-                "param_value": failures[0].param_value,
-                "max_pair_mismatch": failures[0].max_pair_mismatch,
+                "param_value": first_value,
+                "max_pair_mismatch": first_report.max_mismatch,
             },
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -330,8 +314,8 @@ def cmd_scan(args) -> int:
             "all rows chiral-paired"
             if not failures
             else (
-                f"pairing FAILED first at {args.param} = {_fmt(failures[0].param_value)} "
-                f"(mismatch {failures[0].max_pair_mismatch:.3e})"
+                f"pairing FAILED first at {args.param} = {_fmt(first_value)} "
+                f"(mismatch {first_report.max_mismatch:.3e})"
             )
         )
         print(f"wrote {len(rows)} rows to {out_path}; {summary}")
@@ -503,7 +487,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, ArithmeticError, linalg.ConvergenceError) as exc:
+    except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -19,31 +19,15 @@ __all__ = [
     "anticommutator",
     "as_matrix",
     "commutator",
-    "dagger",
     "frobenius",
     "hermitian_eigensolve",
     "identity",
+    "jacobi_eigensolve",
     "kron",
     "norms_and_checks",
     "require_hermitian",
     "unitary_exp",
 ]
-
-# Jacobi iteration: sweep cap and relative off-diagonal convergence target.
-JACOBI_MAX_SWEEPS = 100
-JACOBI_OFFDIAG_TOL = 1e-14
-
-
-class ConvergenceError(RuntimeError):
-    """The Jacobi iteration exhausted its sweep budget."""
-
-    def __init__(self, sweeps, offdiag):
-        super().__init__(
-            f"eigensolver did not converge after {sweeps} sweeps "
-            f"(off-diagonal norm {offdiag:.3e})"
-        )
-        self.sweeps = sweeps
-        self.offdiag = offdiag
 
 
 def as_matrix(a) -> np.ndarray:
@@ -66,11 +50,6 @@ def _conforming(a, b):
 
 def identity(dim: int) -> np.ndarray:
     return np.eye(dim, dtype=np.complex128)
-
-
-def dagger(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(a).conj().T
 
 
 def frobenius(a) -> float:
@@ -132,6 +111,52 @@ def norms_and_checks(a) -> MatrixReport:
     )
 
 
+def hermitian_eigensolve(h) -> EigenDecomposition:
+    """Diagonalize a Hermitian matrix with LAPACK (``numpy.linalg.eigh``).
+
+    The input must pass ``require_hermitian``; LAPACK then gets its exact
+    Hermitian part, so both triangles are read. Eigenvalues come back
+    ascending with orthonormal eigenvector columns, also for degenerate
+    eigenvalues; the order within a degenerate cluster is unspecified.
+    """
+    h = require_hermitian(h)
+    values, vectors = np.linalg.eigh(0.5 * (h + h.conj().T))
+    return EigenDecomposition(values, vectors)
+
+
+def unitary_exp(generator, t: float) -> np.ndarray:
+    """exp(-i t A) for Hermitian A, via the spectral decomposition of A from
+    ``hermitian_eigensolve``.
+
+    Exact up to eigensolver accuracy; degenerate generators need no special
+    handling.
+    """
+    g = require_hermitian(generator, "generator")
+    t = float(t)
+    if not math.isfinite(t):
+        raise ValueError("angle must be finite")
+    eig = hermitian_eigensolve(g)
+    phases = np.exp(-1j * t * eig.eigenvalues)
+    return (eig.eigenvectors * phases) @ eig.eigenvectors.conj().T
+
+
+# Jacobi iteration: sweep cap and relative off-diagonal convergence target.
+JACOBI_MAX_SWEEPS = 100
+JACOBI_OFFDIAG_TOL = 1e-14
+
+
+class ConvergenceError(RuntimeError):
+    """The Jacobi iteration exhausted its sweep budget."""
+
+    def __init__(self, sweeps, offdiag):
+        super().__init__(
+            f"eigensolver did not converge after {sweeps} sweeps "
+            f"(off-diagonal norm {offdiag:.3e})"
+        )
+        self.sweeps = sweeps
+        self.offdiag = offdiag
+
+
 def _offdiagonal_norm(a):
     return frobenius(a - np.diag(np.diag(a)))
 
@@ -150,7 +175,7 @@ def _rotate_rows(m, p, q, c, s, phase):
     m[q, :] = s * np.conj(phase) * row_p + c * row_q
 
 
-def hermitian_eigensolve(h) -> EigenDecomposition:
+def jacobi_eigensolve(h) -> EigenDecomposition:
     """Diagonalize a Hermitian matrix with cyclic complex Jacobi rotations.
 
     Each sweep annihilates every off-diagonal pair in turn with a unitary
@@ -159,6 +184,10 @@ def hermitian_eigensolve(h) -> EigenDecomposition:
     exact to machine precision at the matrix sizes used here, and the
     accumulated rotations give orthonormal eigenvectors even for degenerate
     eigenvalues. Ties in the ascending sort keep their sweep order.
+
+    This is the reference solver: it shares no code with LAPACK, so the
+    tests check ``hermitian_eigensolve`` against it. No production path
+    calls it.
     """
     h = require_hermitian(h)
     n = h.shape[0]
@@ -186,18 +215,3 @@ def hermitian_eigensolve(h) -> EigenDecomposition:
     values = np.diag(a).real.copy()
     order = np.argsort(values, kind="stable")
     return EigenDecomposition(values[order], np.ascontiguousarray(v[:, order]))
-
-
-def unitary_exp(generator, t: float) -> np.ndarray:
-    """exp(-i t A) for Hermitian A, via the spectral decomposition of A.
-
-    Exact up to eigensolver accuracy; degenerate generators need no special
-    handling.
-    """
-    g = require_hermitian(generator, "generator")
-    t = float(t)
-    if not math.isfinite(t):
-        raise ValueError("angle must be finite")
-    eig = hermitian_eigensolve(g)
-    phases = np.exp(-1j * t * eig.eigenvalues)
-    return (eig.eigenvectors * phases) @ eig.eigenvectors.conj().T

@@ -15,7 +15,7 @@ from chiralspin.chiral import (
 from chiralspin.models import CrossedFields, GeneralField, OHMolecule, ToyCoupled
 from chiralspin.rotations import CompositeRotation, RotationSpec, composite_matrix
 
-from helpers import random_chiral_model, random_hermitian
+from helpers import random_chiral_model, random_hermitian, random_unit_vector
 
 
 def test_classify_crossed_fields_partner():
@@ -225,3 +225,48 @@ def test_odd_dimension_forces_zero_mode(rng):
         eig = linalg.hermitian_eigensolve(built.hamiltonian)
         hnorm = linalg.frobenius(built.hamiltonian)
         assert np.min(np.abs(eig.eigenvalues)) < 1e-9 * hnorm
+
+
+def _generated_chiral(rng, dims):
+    """H = X - C X C^dagger for a random Hermitian X, with C a product of pi
+    rotations about random axes on every slot. C^2 = +-1, so C H C^dagger =
+    -H: C anticommutes with H, which is otherwise generic."""
+    c = composite_matrix(
+        CompositeRotation(
+            tuple(RotationSpec(slot, random_unit_vector(rng), "pi") for slot in range(len(dims)))
+        ),
+        dims,
+    )
+    dim = c.shape[0]
+    assert linalg.frobenius(c @ c - (c @ c)[0, 0] * np.eye(dim)) < 1e-12
+    x = random_hermitian(rng, dim)
+    return c, x - c @ x @ c.conj().T
+
+
+def _assert_chiral_identities(c, h):
+    """Mirror pairing, exactly one zero mode at odd dim (every slot is
+    rotated, so C's two eigenspaces differ in size by dim mod 2 and H maps
+    each into the other), and the eigenvector map C: lambda -> -lambda."""
+    dim = h.shape[0]
+    eig = linalg.hermitian_eigensolve(h)
+    tol = default_pairing_tol(h)
+    report = pairing_check(eig.eigenvalues, tol, tol)
+    assert report.is_chiral_paired, dim
+    assert report.zero_modes == dim % 2, dim
+    assert 2 * len(report.pairs) + report.zero_modes == dim
+    mapped = chiral_map_check(c, h)
+    assert mapped.ok, dim
+    assert mapped.checked == dim - dim % 2
+
+
+def test_generated_chiral_single_spin_dims_2_to_40(rng):
+    for dim in range(2, 41):
+        _assert_chiral_identities(*_generated_chiral(rng, (dim,)))
+
+
+@pytest.mark.parametrize(
+    "dims",
+    [(2, 2), (2, 3), (3, 3), (4, 5), (3, 7), (5, 7), (2, 2, 2), (2, 3, 3), (3, 3, 3), (3, 3, 4), (2, 4, 5)],
+)
+def test_generated_chiral_products(rng, dims):
+    _assert_chiral_identities(*_generated_chiral(rng, dims))

@@ -305,6 +305,49 @@ def test_scan_unwritable_path_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_scan_reports_first_pairing_failure(tmp_path, capsys):
+    # the rotor's chiral condition 2/iz = 1/ix + 1/iy holds only at iz = 4/3
+    path = write_model(
+        tmp_path,
+        {"model": "triaxial_rotor", "j": "3/2", "params": {"ix": 1.0, "iy": 2.0, "iz": 1.0}},
+    )
+    out_csv = tmp_path / "scan.csv"
+    grid = ["scan", path, "--param", "iz", "--from", "1", "--to", "2", "--steps", "4"]
+    code, out, _ = run_cli(capsys, "--out", str(out_csv), *grid)
+    assert code == 0
+    assert "pairing FAILED first at iz = 1 (mismatch 6.250e-01)" in out
+    flags = [line.split(",")[-2] for line in out_csv.read_text().splitlines()[1:]]
+    assert flags == ["false", "true", "false", "false"]
+    code, out, _ = run_cli(capsys, "--format", "json", "--out", str(out_csv), *grid)
+    doc = json.loads(out)
+    assert code == 0
+    assert sorted(doc) == ["all_paired", "first_failure", "out", "rows"]
+    assert doc["all_paired"] is False
+    assert doc["rows"] == 4
+    assert doc["first_failure"]["param_value"] == 1.0
+    assert doc["first_failure"]["max_pair_mismatch"] == pytest.approx(0.625, abs=1e-12)
+
+
+def test_eigensolver_failure_exits_2(tmp_path, capsys, monkeypatch):
+    def failing_eigh(*_args, **_kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+    path = write_model(
+        tmp_path,
+        {"model": "general_field", "j": "5/2", "params": {"a": 1.0, "b": 2.0, "c": 0.5}},
+    )
+    for argv in (
+        ["verify", path],
+        ["--out", str(tmp_path / "x.csv"), "scan", path,
+         "--param", "c", "--from", "0", "--to", "1", "--steps", "2"],
+    ):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        # the whole of stderr: one error line, no traceback
+        assert err == "error: Eigenvalues did not converge\n"
+
+
 def test_search_toy_model(tmp_path, capsys):
     path = write_model(
         tmp_path,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from chiralspin import linalg
-from chiralspin.angmom import build_spin_operators
+from chiralspin.angmom import SpinLabel, build_spin_operators, embed
 from chiralspin.rotations import RotationSpec, rotation_matrix
 
 from helpers import random_hermitian
@@ -139,9 +139,45 @@ def test_eigensolve_rejects_non_hermitian():
 def test_eigensolve_convergence_error(monkeypatch):
     monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 0)
     with pytest.raises(linalg.ConvergenceError) as err:
-        linalg.hermitian_eigensolve([[0.0, 1.0], [1.0, 0.0]])
+        linalg.jacobi_eigensolve([[0.0, 1.0], [1.0, 0.0]])
     assert err.value.sweeps == 0
     assert "0 sweeps" in str(err.value)
+
+
+def _oracle_cases(rng):
+    """(label, H) over dims 1-40: a seeded random Hermitian matrix at every
+    dim, plus degenerate ones built from spin operators."""
+    for dim in range(1, 41):
+        yield f"random dim {dim}", random_hermitian(rng, dim, scale=rng.uniform(0.1, 5.0))
+    for twice_j in (1, 2, 5, 9, 14, 21, 39):
+        ops = build_spin_operators(SpinLabel(twice_j))
+        # j(j+1) - m^2: every |m| > 0 level is doubly degenerate
+        yield f"jx^2 + jy^2, 2j = {twice_j}", ops.jx @ ops.jx + ops.jy @ ops.jy
+    for a, b in ((1, 1), (2, 3), (3, 4), (4, 5)):
+        dims = (a + 1, b + 1)
+        one, two = build_spin_operators(SpinLabel(a)), build_spin_operators(SpinLabel(b))
+        # total spin projection: degenerate along the diagonals m1 + m2 = M
+        yield f"jx (x) 1 + 1 (x) jx, dims {dims}", embed(one.jx, 0, dims) + embed(two.jx, 1, dims)
+    for twice_j, rest in ((1, 4), (2, 7), (3, 10), (4, 8)):
+        jz = build_spin_operators(SpinLabel(twice_j)).jz
+        yield f"kron(jz, I_{rest}), 2j = {twice_j}", linalg.kron(jz, np.eye(rest))
+    yield "zero dim 7", np.zeros((7, 7))
+    yield "2.5 I dim 12", 2.5 * np.eye(12)
+
+
+def test_eigensolve_matches_jacobi_oracle(rng):
+    for label, h in _oracle_cases(rng):
+        dim = h.shape[0]
+        hnorm = linalg.frobenius(h)
+        eig = linalg.hermitian_eigensolve(h)
+        reference = linalg.jacobi_eigensolve(h)
+        assert np.all(np.diff(eig.eigenvalues) >= 0.0), label
+        gap = np.max(np.abs(eig.eigenvalues - reference.eigenvalues))
+        assert gap <= 1e-12 * max(1.0, hnorm), label
+        recon = linalg.frobenius(h @ eig.eigenvectors - eig.eigenvectors * eig.eigenvalues)
+        assert recon <= 1e-10 * hnorm, label
+        unit = linalg.frobenius(eig.eigenvectors.conj().T @ eig.eigenvectors - np.eye(dim))
+        assert unit < 1e-12, label
 
 
 def test_unitary_exp_zero_angle(rng):
