@@ -17,12 +17,18 @@ from .linalg import as_matrix, identity, kron
 
 __all__ = [
     "LadderReport",
+    "MAX_HILBERT_DIM",
     "SpinLabel",
     "SpinOperators",
     "build_spin_operators",
     "embed",
     "ladder_action_check",
 ]
+
+# Largest Hilbert-space dimension any model or operator may have. Every dense
+# complex matrix at this size takes 16 MiB, and a command holds a handful.
+MAX_HILBERT_DIM = 1024
+
 
 @dataclass(frozen=True, order=True)
 class SpinLabel:
@@ -118,6 +124,10 @@ def build_spin_operators(label) -> SpinOperators:
     entry-for-entry.
     """
     label = SpinLabel.parse(label)
+    if label.dim > MAX_HILBERT_DIM:
+        raise ValueError(
+            f"spin j = {label} has dimension {label.dim}, above the limit {MAX_HILBERT_DIM}"
+        )
     tj = label.twice_j
     dim = label.dim
     twice_m = np.arange(tj, -tj - 1, -2, dtype=np.int64)

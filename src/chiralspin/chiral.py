@@ -5,7 +5,6 @@ partners."""
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -13,14 +12,15 @@ from enum import Enum
 import numpy as np
 
 from . import linalg
+from .angmom import SpinLabel, build_spin_operators
 from .rotations import (
     CompositeRotation,
     RotationSpec,
     X_AXIS,
     Y_AXIS,
     Z_AXIS,
-    composite_matrix,
     parse_angle,
+    rotation_matrix,
     unit_axis,
 )
 
@@ -161,32 +161,74 @@ def search_partners(h, dims, angles=None, axes=None, tol: float = DEFAULT_TOL) -
     anticommutes with H.
 
     Each slot independently takes no rotation or one (axis, angle) pair from
-    the family; candidates are enumerated in a fixed lexicographic order, so
-    the output order is deterministic. Phase-equivalent operators built from
-    different factor lists are reported separately.
+    the family; candidates are enumerated in a fixed lexicographic order, slot
+    0 slowest, so the output order is deterministic. Phase-equivalent
+    operators built from different factor lists are reported separately.
+
+    The enumeration is a depth-first walk over the slots. The identity and
+    the rotation factors of each slot dimension are built once per call, and
+    a prefix P on the first slots S grows by ``linalg.kron`` in the order
+    ``composite_matrix`` uses, so every candidate that reaches ``classify``
+    is the matrix ``composite_matrix`` would build. A prefix is cut, with
+    every candidate that extends it, when
+
+        ||P H_S P^dagger + H_S||_F >= 2 max(tol, n eps) sqrt(n / d_rest) ||H||_F
+
+    where n = dim H, d_rest = n / dim P and H_S = tr_rest(H) / d_rest is H
+    traced over the slots after S. No candidate that ``classify`` accepts is
+    cut: for a unitary C = P (x) R, ||{C, H}||_F = ||C H C^dagger + H||_F,
+    tr_rest(C H C^dagger) = P tr_rest(H) P^dagger and ||tr_rest X||_F <=
+    sqrt(d_rest) ||X||_F, so acceptance, ||{C, H}||_F < tol sqrt(n) ||H||_F,
+    puts the prefix below half the cut. The factor 2 and the floor n eps
+    absorb rounding.
     """
     h = linalg.as_matrix(h)
     dims = tuple(int(d) for d in dims)
-    if math.prod(dims) != h.shape[0]:
+    n = h.shape[0]
+    if math.prod(dims) != n:
         raise ValueError(
-            f"subsystem dims {dims} do not multiply to the matrix dimension {h.shape[0]}"
+            f"subsystem dims {dims} do not multiply to the matrix dimension {n}"
         )
+    if any(d < 1 for d in dims):
+        raise ValueError(f"subsystem dimensions must be positive, got {dims}")
     axes = DEFAULT_SEARCH_AXES if axes is None else tuple(unit_axis(a) for a in axes)
     angles = DEFAULT_SEARCH_ANGLES if angles is None else tuple(parse_angle(a) for a in angles)
-    per_slot = [None] + [(axis, angle) for axis in axes for angle in angles]
+    choices = [(axis, angle) for axis in axes for angle in angles]
+    factors = {}
+    for d in set(dims):
+        ops = build_spin_operators(SpinLabel(d - 1))
+        factors[d] = [linalg.identity(d)] + [
+            rotation_matrix(RotationSpec(0, axis, angle), ops) for axis, angle in choices
+        ]
+    # reduced[k] and cut[k] judge a prefix on the first k slots
+    hnorm = linalg.frobenius(h)
+    tol_floor = max(tol, n * np.finfo(float).eps)
+    reduced, cut = [], []
+    d_s = 1
+    for d in dims:
+        d_rest = n // d_s
+        block = h.reshape(d_s, d_rest, d_s, d_rest)
+        reduced.append(np.trace(block, axis1=1, axis2=3) / d_rest)
+        cut.append(2.0 * tol_floor * math.sqrt(n / d_rest) * hnorm)
+        d_s *= d
+    picks = [0] * len(dims)
     found = []
-    for combo in itertools.product(per_slot, repeat=len(dims)):
-        factors = []
-        for slot, choice in enumerate(combo):
-            if choice is not None:
-                axis, angle = choice
-                factors.append(RotationSpec(slot, axis, angle))
-        if not factors:
-            continue
-        candidate = CompositeRotation(tuple(factors))
-        verdict = classify(composite_matrix(candidate, dims), h, tol)
-        if verdict.kind is Symmetry.ANTICOMMUTING:
-            found.append(candidate)
+
+    def walk(slot, prefix):
+        if slot == len(dims):
+            if any(picks) and classify(prefix, h, tol).kind is Symmetry.ANTICOMMUTING:
+                found.append(CompositeRotation(tuple(
+                    RotationSpec(s, *choices[p - 1]) for s, p in enumerate(picks) if p
+                )))
+            return
+        h_s = reduced[slot]
+        if linalg.frobenius(prefix @ h_s @ prefix.conj().T + h_s) >= cut[slot]:
+            return
+        for pick, factor in enumerate(factors[dims[slot]]):
+            picks[slot] = pick
+            walk(slot + 1, linalg.kron(prefix, factor))
+
+    walk(0, np.ones((1, 1), dtype=np.complex128))
     return found
 
 

@@ -23,6 +23,10 @@ from .rotations import CompositeRotation, RotationSpec, composite_matrix
 
 TEXT_DIGITS = 6
 
+# scan builds every step's model before solving any: cap the dense entries
+# they hold together (16 bytes each, so 256 MiB)
+SCAN_MAX_ENTRIES = 1 << 24
+
 _OPERATOR_NAMES = ("jx", "jy", "jz", "jplus", "jminus", "jsq")
 
 
@@ -271,9 +275,14 @@ def cmd_scan(args) -> int:
         raise ValueError("--steps must be at least 1")
     if not out_path:
         raise ValueError("scan writes CSV and requires --out PATH")
+    dim = models.hilbert_dim(spec)
+    if args.steps * dim * dim > SCAN_MAX_ENTRIES:
+        raise ValueError(
+            f"--steps {args.steps} at dim {dim} exceeds the scan budget of "
+            f"{SCAN_MAX_ENTRIES} matrix entries (at most {SCAN_MAX_ENTRIES // (dim * dim)} steps)"
+        )
     values = np.linspace(args.start, args.stop, args.steps)
     built_models = models.parameter_sweep(spec, args.param, values)
-    dim = built_models[0].hamiltonian.shape[0]
     rows = []
     for value, built in zip(values, built_models):
         # diagonalize the shifted (chiral) part; emit physical eigenvalues
@@ -322,13 +331,20 @@ def cmd_scan(args) -> int:
     return 0
 
 
+def _is_positive_integer(value) -> bool:
+    if isinstance(value, float):
+        return value.is_integer() and value >= 1
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
 def _matrix_from_doc(doc, origin):
     unknown = set(doc) - {"dims", "entries"}
     if unknown:
         raise ValueError(f"{origin}: unknown keys {sorted(unknown)}")
-    dims = tuple(int(d) for d in doc["dims"])
-    if not dims or any(d < 1 for d in dims):
-        raise ValueError(f"{origin}: dims must be positive integers")
+    raw = doc["dims"]
+    if not isinstance(raw, list) or not raw or not all(_is_positive_integer(d) for d in raw):
+        raise ValueError(f"{origin}: dims must be a non-empty list of positive integers, got {raw!r}")
+    dims = tuple(int(d) for d in raw)
     n = math.prod(dims)
     entries = doc["entries"]
     if not isinstance(entries, list) or len(entries) != n * n:

@@ -13,7 +13,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import linalg
-from .angmom import SpinLabel, build_spin_operators, embed
+from .angmom import MAX_HILBERT_DIM, SpinLabel, build_spin_operators, embed
 from .rotations import (
     CompositeRotation,
     RotationSpec,
@@ -33,6 +33,7 @@ __all__ = [
     "ToyCoupled",
     "TriaxialRotor",
     "build",
+    "hilbert_dim",
     "load_model_file",
     "model_tag",
     "parameter_names",
@@ -198,6 +199,17 @@ def subsystem_dims(spec) -> tuple[int, ...]:
     return tuple(label.dim for label in spin_labels(spec))
 
 
+def hilbert_dim(spec) -> int:
+    """Dimension of the model's Hilbert space, the product of its subsystem
+    dims; above ``MAX_HILBERT_DIM`` it raises before anything is built."""
+    dim = math.prod(subsystem_dims(spec))
+    if dim > MAX_HILBERT_DIM:
+        raise ValueError(
+            f"model {model_tag(spec)!r} has dimension {dim}, above the limit {MAX_HILBERT_DIM}"
+        )
+    return dim
+
+
 def parameter_names(spec) -> tuple[str, ...]:
     """Real parameters of a model spec (everything except the spin labels)."""
     cls = spec if isinstance(spec, type) else type(spec)
@@ -229,6 +241,7 @@ def _single(axis, angle) -> CompositeRotation:
 
 def build(spec) -> BuiltModel:
     """Assemble the Hamiltonian matrix, shift constant, and chiral partner."""
+    hilbert_dim(spec)
     if isinstance(spec, CrossedFields):
         ops = build_spin_operators(spec.j)
         h = spec.a * ops.jx + spec.b * ops.jy

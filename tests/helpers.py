@@ -1,11 +1,21 @@
-"""Shared test utilities: seeded random matrices and model draws."""
+"""Shared test utilities: seeded random matrices and model draws, and the
+brute-force partner search the pruned one is checked against."""
 
+import itertools
 import json
 import math
 
 import numpy as np
 
-from chiralspin.angmom import SpinLabel
+from chiralspin import linalg
+from chiralspin.angmom import SpinLabel, build_spin_operators, embed
+from chiralspin.chiral import (
+    DEFAULT_SEARCH_ANGLES,
+    DEFAULT_SEARCH_AXES,
+    DEFAULT_TOL,
+    Symmetry,
+    classify,
+)
 from chiralspin.models import (
     CrossedFields,
     CrossedFieldsShifted,
@@ -13,6 +23,13 @@ from chiralspin.models import (
     OHMolecule,
     ToyCoupled,
     TriaxialRotor,
+)
+from chiralspin.rotations import (
+    CompositeRotation,
+    RotationSpec,
+    composite_matrix,
+    parse_angle,
+    unit_axis,
 )
 
 
@@ -85,3 +102,51 @@ def write_model(tmp_path, doc, name="model.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def brute_force_search(h, dims, angles=None, axes=None, tol=DEFAULT_TOL):
+    """Reference for ``chiral.search_partners``: build and classify every
+    candidate of the 7^k family from nothing, in ``itertools.product``
+    order."""
+    h = linalg.as_matrix(h)
+    dims = tuple(int(d) for d in dims)
+    if math.prod(dims) != h.shape[0]:
+        raise ValueError(
+            f"subsystem dims {dims} do not multiply to the matrix dimension {h.shape[0]}"
+        )
+    axes = DEFAULT_SEARCH_AXES if axes is None else tuple(unit_axis(a) for a in axes)
+    angles = DEFAULT_SEARCH_ANGLES if angles is None else tuple(parse_angle(a) for a in angles)
+    per_slot = [None] + [(axis, angle) for axis in axes for angle in angles]
+    found = []
+    for combo in itertools.product(per_slot, repeat=len(dims)):
+        factors = []
+        for slot, choice in enumerate(combo):
+            if choice is not None:
+                axis, angle = choice
+                factors.append(RotationSpec(slot, axis, angle))
+        if not factors:
+            continue
+        candidate = CompositeRotation(tuple(factors))
+        verdict = classify(composite_matrix(candidate, dims), h, tol)
+        if verdict.kind is Symmetry.ANTICOMMUTING:
+            found.append(candidate)
+    return found
+
+
+def spin_chain(rng, dims, coupling="xy", fields=False):
+    """Open chain on slots of dimension ``dims``: seeded nearest-neighbour
+    couplings sum_a g_a J_i^a J_{i+1}^a over a in ``coupling`` plus, with
+    ``fields``, seeded local z fields h_i J_i^z."""
+    dims = tuple(dims)
+    ops = [build_spin_operators(SpinLabel(d - 1)) for d in dims]
+    n = math.prod(dims)
+    h = np.zeros((n, n), dtype=np.complex128)
+    for i in range(len(dims) - 1):
+        for a in coupling:
+            left = embed(getattr(ops[i], "j" + a), i, dims)
+            right = embed(getattr(ops[i + 1], "j" + a), i + 1, dims)
+            h += rng.uniform(0.5, 1.5) * (left @ right)
+    if fields:
+        for i, slot_ops in enumerate(ops):
+            h += rng.uniform(-1.5, 1.5) * embed(slot_ops.jz, i, dims)
+    return h

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chiralspin import linalg, models
+from chiralspin import chiral, linalg, models
 from chiralspin.angmom import SpinLabel, build_spin_operators
 from chiralspin.chiral import (
     Symmetry,
@@ -12,10 +12,22 @@ from chiralspin.chiral import (
     search_partners,
     trace_oddpower_check,
 )
-from chiralspin.models import CrossedFields, GeneralField, OHMolecule, ToyCoupled
+from chiralspin.models import (
+    CrossedFields,
+    GeneralField,
+    OHMolecule,
+    ToyCoupled,
+    TriaxialRotor,
+)
 from chiralspin.rotations import CompositeRotation, RotationSpec, composite_matrix
 
-from helpers import random_chiral_model, random_hermitian, random_unit_vector
+from helpers import (
+    brute_force_search,
+    random_chiral_model,
+    random_hermitian,
+    random_unit_vector,
+    spin_chain,
+)
 
 
 def test_classify_crossed_fields_partner():
@@ -165,6 +177,8 @@ def test_search_hits_reclassify_as_anticommuting():
 def test_search_rejects_inconsistent_dims():
     with pytest.raises(ValueError, match="dims"):
         search_partners(np.eye(4), [2, 3])
+    with pytest.raises(ValueError, match="positive"):
+        search_partners(np.eye(2), [-1, -2])
 
 
 @pytest.mark.parametrize(
@@ -186,6 +200,132 @@ def test_search_finds_documented_partner(family, rng):
     shifted = models.shifted_hamiltonian(built)
     hits = search_partners(shifted, built.dims)
     assert built.chiral_partner in hits
+
+
+FAMILIES = (
+    "crossed_fields", "crossed_fields_shifted", "general_field",
+    "triaxial_rotor", "toy_coupled", "oh_molecule",
+)
+
+
+def _fixture_searches():
+    """Every search input of the other tests, raw and shifted, plus one
+    parameter draw per family."""
+    cases = []
+    for name, spec in (
+        ("toy-half-half", ToyCoupled("1/2", "1/2", 1.0, 1.0)),
+        ("toy-half-one", ToyCoupled("1/2", "1", 0.8, -1.1)),
+        ("oh", OHMolecule()),
+        ("oh-B", OHMolecule(B=0.5)),
+        ("crossed-1", CrossedFields("1", 1.0, 2.0)),
+        ("crossed-3/2", CrossedFields("3/2", 1.0, 2.0)),
+        ("rotor-2", TriaxialRotor("2", 1.0, 1.0 / 3.0, 0.5)),
+        ("general-3/2", GeneralField("3/2", 0.0, 1.2, -0.7)),
+    ):
+        built = models.build(spec)
+        cases.append(pytest.param(built.hamiltonian, built.dims, id=name))
+        cases.append(pytest.param(models.shifted_hamiltonian(built), built.dims, id=name + "-shifted"))
+    rng = np.random.default_rng(20260809)
+    for family in FAMILIES:
+        built = models.build(random_chiral_model(rng, family, max_twice_j=6, coupled_max=3))
+        cases.append(pytest.param(models.shifted_hamiltonian(built), built.dims, id=family + "-drawn"))
+    cases.append(pytest.param(np.eye(4), (2, 2), id="identity"))
+    cases.append(pytest.param(0.5 * np.array([[0.0, 1.0], [1.0, 0.0]]), (2,), id="jx-matrix"))
+    return cases
+
+
+@pytest.mark.parametrize("h, dims", _fixture_searches())
+def test_search_matches_brute_force_on_fixtures(h, dims):
+    assert search_partners(h, dims) == brute_force_search(h, dims)
+
+
+OBLIQUE_AXES = ([1, 0, 0], [0, 1, 0], [0, 0, 1], [0.6, 0.8, 0.0])
+
+
+def _generated_searches():
+    """At least 100 seeded (H, dims, search keywords) cases: spin-1/2 and
+    spin-1 chains, wider candidate families, degenerate scales, d = 1 slots,
+    partners planted by construction and other tolerances."""
+    rng = np.random.default_rng(4417)
+    cases = []
+
+    def add(tag, h, dims, **kwargs):
+        cases.append(pytest.param(h, tuple(dims), kwargs, id=f"{len(cases)}-{tag}"))
+
+    for d in (2, 3):
+        for _ in range(4):
+            add(f"d{d}-k1-field", spin_chain(rng, (d,), fields=True), (d,))
+        for k, reps in ((2, 4), (3, 1)):
+            for coupling in ("xy", "xyz"):
+                for fields in (False, True):
+                    for _ in range(reps):
+                        dims = (d,) * k
+                        add(f"d{d}-k{k}-{coupling}-{fields}", spin_chain(rng, dims, coupling, fields), dims)
+        for k in (1, 2):
+            for fields in (False, True) if k > 1 else (True,):
+                dims = (d,) * k
+                h = spin_chain(rng, dims, "xy", fields)
+                add(f"d{d}-k{k}-angles", h, dims, angles=["pi", "pi/2", "pi/4"])
+                add(f"d{d}-k{k}-oblique", h, dims, axes=OBLIQUE_AXES)
+        dims = (d, d)
+        add(f"d{d}-k2-wide", spin_chain(rng, dims, "xy", True), dims,
+            angles=["pi", "pi/2", "pi/4"], axes=OBLIQUE_AXES)
+        for k in (1, 2, 3) if d == 2 else (1, 2):
+            dims = (d,) * k
+            n = d**k
+            add(f"d{d}-k{k}-tiny", 1e-6 * spin_chain(rng, dims, "xy", True), dims)
+            add(f"d{d}-k{k}-zero", np.zeros((n, n)), dims)
+            add(f"d{d}-k{k}-scalar", 2.5 * np.eye(n), dims)
+        for tol in (1e-6, 1e-14):
+            add(f"d{d}-k2-tol{tol:g}", spin_chain(rng, (d, d), "xy", True), (d, d), tol=tol)
+    for dims in ((1,), (1, 1), (2, 1), (1, 3), (2, 2, 1), (2, 1, 2), (3, 1, 2), (1, 2, 2)):
+        for coupling, fields in (("xy", True), ("xyz", False)):
+            add(f"dims{dims}-{coupling}", spin_chain(rng, dims, coupling, fields), dims)
+    for dims in ((2, 2), (3, 2), (2, 3), (2, 2, 2), (3, 3)):
+        # H = X - C X C^dagger anticommutes with C, a product of pi
+        # rotations (C^2 = +-1), so the planted partner is among the hits
+        planted = CompositeRotation(tuple(
+            RotationSpec(slot, ((1, 0, 0), (0, 1, 0), (0, 0, 1))[rng.integers(3)], "pi")
+            for slot in range(len(dims))
+        ))
+        c = composite_matrix(planted, dims)
+        x = random_hermitian(rng, c.shape[0])
+        add(f"planted{dims}", x - c @ x @ c.conj().T, dims)
+    dims = (2, 2, 2, 2)
+    add("d2-k4-xy-fields", spin_chain(rng, dims, "xy", True), dims)
+    return cases
+
+
+@pytest.mark.parametrize("h, dims, kwargs", _generated_searches())
+def test_search_matches_brute_force_on_generated_chains(h, dims, kwargs):
+    assert search_partners(h, dims, **kwargs) == brute_force_search(h, dims, **kwargs)
+
+
+def test_generated_searches_are_many_and_often_hit():
+    cases = _generated_searches()
+    hits = [bool(search_partners(*case.values[:2], **case.values[2])) for case in cases]
+    assert len(cases) >= 100
+    assert sum(hits) >= 40
+
+
+def test_search_six_spin_chain_finds_alternating_partners(monkeypatch):
+    dims = (2,) * 6
+    h = spin_chain(np.random.default_rng(6), dims, "xy", fields=True)
+    classified = []
+    original = chiral.classify
+
+    def counting(c, hh, tol):
+        classified.append(c.shape[0])
+        return original(c, hh, tol)
+
+    monkeypatch.setattr(chiral, "classify", counting)
+    hits = search_partners(h, dims)
+    assert [hit.describe() for hit in hits] == [
+        "R[0,x](pi) * R[1,y](pi) * R[2,x](pi) * R[3,y](pi) * R[4,x](pi) * R[5,y](pi)",
+        "R[0,y](pi) * R[1,x](pi) * R[2,y](pi) * R[3,x](pi) * R[4,y](pi) * R[5,x](pi)",
+    ]
+    # brute force classifies all 7^6 - 1 = 117,648 candidates
+    assert 2 <= len(classified) < 100
 
 
 def test_odd_traces_vanish_for_chiral_model():

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chiralspin import cli
+from chiralspin import cli, models
 
 from helpers import write_model
 
@@ -403,6 +403,80 @@ def test_search_rejects_unrecognized_document(tmp_path, capsys):
     path.write_text(json.dumps({"foo": 1}))
     code, _, err = run_cli(capsys, "search", str(path))
     assert code == 2
+
+
+@pytest.mark.parametrize("dims", [4, [None], [2.5, 2], [], "22", [True, 2], [0, 4]])
+def test_search_rejects_bad_matrix_dims(tmp_path, capsys, dims):
+    entries = [[1.0, 0.0] if i == j else [0.0, 0.0] for i in range(4) for j in range(4)]
+    path = tmp_path / "dims.json"
+    path.write_text(json.dumps({"dims": dims, "entries": entries}))
+    code, out, err = run_cli(capsys, "search", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "dims must be a non-empty list of positive integers" in err
+
+
+def test_search_accepts_integral_float_dims(tmp_path, capsys):
+    entries = [[0.0, 0.0], [0.5, 0.0], [0.5, 0.0], [0.0, 0.0]]
+    path = tmp_path / "jx.json"
+    path.write_text(json.dumps({"dims": [2.0], "entries": entries}))
+    code, out, _ = run_cli(capsys, "--format", "json", "search", str(path))
+    assert code == 0
+    assert json.loads(out)["dims"] == [2]
+
+
+@pytest.mark.parametrize("command", ["verify", "spectrum", "charpoly", "search", "scan"])
+def test_model_above_dimension_limit_exits_2(tmp_path, capsys, command):
+    # 33 x 33 = 1089 > MAX_HILBERT_DIM, though each spin alone is allowed
+    path = write_model(
+        tmp_path, {"model": "toy_coupled", "j1": "16", "j2": "16", "params": {"A": 1.0, "B": 1.0}}
+    )
+    argv = [command, path]
+    if command == "scan":
+        argv = ["--out", str(tmp_path / "x.csv"), *argv,
+                "--param", "A", "--from", "0", "--to", "1", "--steps", "2"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: model 'toy_coupled' has dimension 1089, above the limit 1024\n"
+
+
+def test_ops_above_dimension_limit_exits_2(capsys):
+    code, out, err = run_cli(capsys, "ops", "--j", "600", "--which", "jx")
+    assert code == 2
+    assert out == ""
+    assert err == "error: spin j = 600 has dimension 1201, above the limit 1024\n"
+
+
+def test_scan_steps_above_budget_exit_2(tmp_path, capsys):
+    path = write_model(tmp_path, {"model": "general_field", "j": "5/2", "params": {"a": 1, "b": 0, "c": 0}})
+    steps = cli.SCAN_MAX_ENTRIES // 36 + 1
+    code, out, err = run_cli(
+        capsys, "--out", str(tmp_path / "x.csv"), "scan", path,
+        "--param", "c", "--from", "0", "--to", "1", "--steps", str(steps),
+    )
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"error: --steps {steps} at dim 6 exceeds the scan budget of "
+        f"{cli.SCAN_MAX_ENTRIES} matrix entries (at most {steps - 1} steps)\n"
+    )
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_size_limits_accept_every_test_and_benchmark_dim(tmp_path, capsys):
+    # the tests reach dim 64 and 81 scan steps; the benchmark reaches dim 36
+    assert models.build(models.GeneralField("63/2", 1.0, 1.0, 1.0)).hamiltonian.shape == (64, 64)
+    assert models.build(models.ToyCoupled("7/2", "7/2", 1.0, 1.0)).hamiltonian.shape == (64, 64)
+    path = write_model(tmp_path, {"model": "general_field", "j": "63/2", "params": {"a": 1, "b": 0, "c": 0}})
+    out_csv = tmp_path / "wide.csv"
+    code, _, _ = run_cli(
+        capsys, "--out", str(out_csv), "scan", path,
+        "--param", "c", "--from", "-2", "--to", "2", "--steps", "81",
+    )
+    assert code == 0
+    assert len(out_csv.read_text().splitlines()) == 82
 
 
 def test_charpoly_j52_printed_coefficients(tmp_path, capsys):
