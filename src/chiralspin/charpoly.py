@@ -12,7 +12,7 @@ from enum import Enum
 import numpy as np
 
 from . import linalg
-from .chiral import Symmetry, classify
+from .chiral import Symmetry, classify, spectral_pairing
 
 __all__ = [
     "CharPoly",
@@ -30,6 +30,10 @@ __all__ = [
 
 # Coefficients below this fraction of the largest one count as zero.
 ZERO_COEFF_TOL = 1e-10
+
+# Largest dimension whose characteristic polynomial full_solve builds: from dim 14
+# the trace recursion's coefficients miss the tests' tolerance (Wilkinson 1965).
+MAX_POLY_DIM = 13
 
 
 class SpectrumInconsistencyError(ArithmeticError):
@@ -276,8 +280,9 @@ def classify_solvability(dim: int, chiral: bool) -> SolveMethod:
 class PolySolveReport:
     """Everything the polynomial pipeline produced for one Hamiltonian."""
 
-    charpoly: CharPoly
+    charpoly: CharPoly | None  # None above MAX_POLY_DIM
     parity_ok: bool
+    zero_root_multiplicity: int
     reduced: ReducedPoly | None
     method: SolveMethod
     closed_form_eigenvalues: tuple[float, ...] | None
@@ -286,69 +291,48 @@ class PolySolveReport:
 
 
 def full_solve(h, partner=None) -> PolySolveReport:
-    """Characteristic polynomial, parity reduction, radical roots where the
-    degree permits, and the numeric spectrum with the worst sorted
-    closed-vs-numeric deviation.
+    """Numeric spectrum and its mirror pairing, the solution route, and up to
+    MAX_POLY_DIM the characteristic polynomial, with closed-form roots and
+    their worst sorted deviation from the numeric ones on the radicals route.
 
-    Parity detection and root extraction run on the polynomial of H/s with
-    s = max(1, ||H||_F): parity is scale-invariant, and normalizing keeps the
-    trace recursion's round-off uniform instead of letting it swamp the small
-    coefficients at larger norms and dimensions. Roots are rescaled by s.
-    The reported polynomial is always that of H itself.
+    Parity and the zero-root count are ``spectral_pairing``'s, the rule of
+    ``verify`` and ``scan``; the route is ``classify_solvability`` of the
+    degree, halved after the zero roots when paired. The polynomial is one
+    trace recursion on H/s, s = ||H||_F, with coefficient k rescaled by
+    s^(n-k); roots are found on it and rescaled by s. Normalizing keeps the
+    recursion's round-off uniform. Above MAX_POLY_DIM the route is numeric_only.
 
-    When ``partner`` is supplied and anticommutes with H the polynomial must
-    come out even; a violation indicates corrupt input and raises.
+    When ``partner`` is supplied and anticommutes with H the spectrum must
+    come out paired; a violation indicates corrupt input and raises.
     """
     h = linalg.require_hermitian(h)
-    numeric = tuple(float(x) for x in linalg.hermitian_eigensolve(h).eigenvalues)
-    poly = characteristic_polynomial(h)
-    scale = max(1.0, linalg.frobenius(h))
-    scaled_poly = characteristic_polynomial(h / scale) if scale > 1.0 else poly
-    parity_ok, scaled_reduced = parity_reduce(scaled_poly)
-    mult = scaled_reduced.zero_root_multiplicity
-    reduced = ReducedPoly(
-        mult,
-        tuple(
-            d * scale ** (poly.dim - mult - 2 * i)
-            for i, d in enumerate(scaled_reduced.mu_coeffs)
-        ),
-    )
-    if partner is not None:
-        verdict = classify(partner, h)
-        if verdict.kind in (Symmetry.ANTICOMMUTING, Symmetry.BOTH) and not parity_ok:
+    eigenvalues, pairing = spectral_pairing(h)
+    numeric = tuple(float(x) for x in eigenvalues)
+    n, zeros, parity_ok = len(numeric), pairing.zero_modes, pairing.is_chiral_paired
+    if partner is not None and not parity_ok:
+        if classify(partner, h).kind in (Symmetry.ANTICOMMUTING, Symmetry.BOTH):
             raise SpectrumInconsistencyError(
-                "anticommuting partner supplied but odd coefficients survive"
+                "anticommuting partner supplied but the spectrum is not mirror-paired"
             )
-    closed = None
-    if parity_ok:
-        effective = len(scaled_reduced.mu_coeffs) - 1
-        if effective <= 4:
-            method = SolveMethod.RADICALS
-            closed = tuple(sorted(scale * x for x in solve_reduced(scaled_reduced)))
-        elif effective == 5:
-            method = SolveMethod.HYPERGEOMETRIC_REQUIRED
-        else:
-            method = SolveMethod.NUMERIC_ONLY
+    if n > MAX_POLY_DIM:
+        method = SolveMethod.NUMERIC_ONLY
+    elif parity_ok:
+        # H = 0 leaves no nonzero root, which radicals solve trivially
+        method = classify_solvability(max(1, n - zeros), chiral=True)
     else:
-        method = classify_solvability(poly.dim, chiral=False)
-        if method is SolveMethod.RADICALS:
-            roots = real_roots_closed_form(poly.coeffs)
-            if len(roots) < poly.dim:
-                raise SpectrumInconsistencyError(
-                    "complex eigenvalues computed for a Hermitian matrix"
-                )
-            closed = tuple(roots)
-    deviation = None
-    if closed is not None:
-        deviation = max(
-            (abs(c - n) for c, n in zip(closed, numeric)), default=0.0
-        )
-    return PolySolveReport(
-        poly,
-        parity_ok,
-        reduced if parity_ok else None,
-        method,
-        closed,
-        numeric,
-        deviation,
-    )
+        method = classify_solvability(n, chiral=False)
+    poly = reduced = closed = deviation = None
+    if n <= MAX_POLY_DIM:
+        scale = linalg.frobenius(h) or 1.0
+        scaled = characteristic_polynomial(h / scale).coeffs
+        poly = CharPoly(tuple(c * scale ** (n - k) for k, c in enumerate(scaled)))
+        if parity_ok:
+            reduced = ReducedPoly(zeros, poly.coeffs[zeros::2])
+    if method is SolveMethod.RADICALS:
+        roots = (solve_reduced(ReducedPoly(zeros, scaled[zeros::2])) if parity_ok
+                 else real_roots_closed_form(scaled))
+        if len(roots) < n:
+            raise SpectrumInconsistencyError("complex eigenvalues computed for a Hermitian matrix")
+        closed = tuple(scale * x for x in roots)
+        deviation = max((abs(c - x) for c, x in zip(closed, numeric)), default=0.0)
+    return PolySolveReport(poly, parity_ok, zeros, reduced, method, closed, numeric, deviation)

@@ -38,6 +38,7 @@ __all__ = [
     "default_pairing_tol",
     "pairing_check",
     "search_partners",
+    "spectral_pairing",
     "trace_oddpower_check",
 ]
 
@@ -121,6 +122,13 @@ def pairing_check(eigenvalues, tol_pair: float, tol_zero: float) -> PairingRepor
     return PairingReport(pairs, zero_modes, paired)
 
 
+def spectral_pairing(h) -> tuple[np.ndarray, PairingReport]:
+    """Ascending eigenvalues of H and their mirror pairing at default_pairing_tol(H)."""
+    eigenvalues = linalg.hermitian_eigensolve(h).eigenvalues
+    tol = default_pairing_tol(h)
+    return eigenvalues, pairing_check(eigenvalues, tol, tol)
+
+
 @dataclass(frozen=True)
 class ChiralMapReport:
     """Worst residual of H(C psi) + lambda (C psi) over nonzero eigenpairs."""
@@ -156,14 +164,16 @@ def chiral_map_check(c, h, tol: float = DEFAULT_TOL, tol_zero: float | None = No
     return ChiralMapReport(checked, worst, bound, worst <= bound)
 
 
-def search_partners(h, dims, angles=None, axes=None, tol: float = DEFAULT_TOL) -> list[CompositeRotation]:
+def search_partners(h, dims, angles=None, axes=None,
+                    tol: float = DEFAULT_TOL) -> list[tuple[CompositeRotation, SymmetryVerdict]]:
     """Return every composite rotation from the candidate family that
-    anticommutes with H.
+    anticommutes with H, each with its ``classify`` verdict.
 
     Each slot independently takes no rotation or one (axis, angle) pair from
     the family; candidates are enumerated in a fixed lexicographic order, slot
     0 slowest, so the output order is deterministic. Phase-equivalent
-    operators built from different factor lists are reported separately.
+    operators built from different factor lists are reported separately. A
+    spin-0 slot (d = 1) takes no rotation, since all its rotations are [[1]].
 
     The enumeration is a depth-first walk over the slots. The identity and
     the rotation factors of each slot dimension are built once per call, and
@@ -198,7 +208,7 @@ def search_partners(h, dims, angles=None, axes=None, tol: float = DEFAULT_TOL) -
     for d in set(dims):
         ops = build_spin_operators(SpinLabel(d - 1))
         factors[d] = [linalg.identity(d)] + [
-            rotation_matrix(RotationSpec(0, axis, angle), ops) for axis, angle in choices
+            rotation_matrix(RotationSpec(0, axis, angle), ops) for axis, angle in choices if d > 1
         ]
     # reduced[k] and cut[k] judge a prefix on the first k slots
     hnorm = linalg.frobenius(h)
@@ -216,10 +226,10 @@ def search_partners(h, dims, angles=None, axes=None, tol: float = DEFAULT_TOL) -
 
     def walk(slot, prefix):
         if slot == len(dims):
-            if any(picks) and classify(prefix, h, tol).kind is Symmetry.ANTICOMMUTING:
-                found.append(CompositeRotation(tuple(
+            if any(picks) and (verdict := classify(prefix, h, tol)).kind is Symmetry.ANTICOMMUTING:
+                found.append((CompositeRotation(tuple(
                     RotationSpec(s, *choices[p - 1]) for s, p in enumerate(picks) if p
-                )))
+                )), verdict))
             return
         h_s = reduced[slot]
         if linalg.frobenius(prefix @ h_s @ prefix.conj().T + h_s) >= cut[slot]:

@@ -117,9 +117,22 @@ def _rotation_from_text(text) -> CompositeRotation:
     return CompositeRotation(tuple(factors))
 
 
+def _tolerance(text) -> float:
+    """argparse type for --tol: a finite positive real."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
+    return value
+
+
 def _classify_tol(args) -> float:
-    tol = getattr(args, "tol", None)
-    return chiral.DEFAULT_TOL if tol is None else float(tol)
+    return getattr(args, "tol", chiral.DEFAULT_TOL)
+
+
+def _prepare(spec):
+    """Build a model: (built model, its tag, H - shift)."""
+    built = models.build(spec)
+    return built, models.model_tag(built.spec), models.shifted_hamiltonian(built)
 
 
 def cmd_ops(args) -> int:
@@ -138,8 +151,7 @@ def cmd_ops(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    built = models.build(models.load_model_file(args.model_file))
-    tag = models.model_tag(built.spec)
+    built, tag, shifted = _prepare(models.load_model_file(args.model_file))
     if args.rotation == "auto":
         rot = built.chiral_partner
         if rot is None:
@@ -160,12 +172,8 @@ def cmd_verify(args) -> int:
             return 1
     else:
         rot = _rotation_from_text(args.rotation)
-    rmat = composite_matrix(rot, built.dims)
-    shifted = models.shifted_hamiltonian(built)
-    verdict = chiral.classify(rmat, shifted, _classify_tol(args))
-    shifted_eigs = linalg.hermitian_eigensolve(shifted).eigenvalues
-    ptol = chiral.default_pairing_tol(shifted)
-    pairing = chiral.pairing_check(shifted_eigs, ptol, ptol)
+    verdict = chiral.classify(composite_matrix(rot, built.dims), shifted, _classify_tol(args))
+    _, pairing = chiral.spectral_pairing(shifted)
     verified = (
         verdict.kind in (Symmetry.ANTICOMMUTING, Symmetry.BOTH)
         and pairing.is_chiral_paired
@@ -216,9 +224,7 @@ def _spectrum_lines(tag, built, report, closed_phys, numeric_phys) -> list[str]:
 
 
 def cmd_spectrum(args) -> int:
-    built = models.build(models.load_model_file(args.model_file))
-    tag = models.model_tag(built.spec)
-    shifted = models.shifted_hamiltonian(built)
+    built, tag, shifted = _prepare(models.load_model_file(args.model_file))
     if args.method == "numeric":
         numeric = linalg.hermitian_eigensolve(built.hamiltonian).eigenvalues
         lines = [
@@ -259,7 +265,7 @@ def cmd_spectrum(args) -> int:
         "shift": built.shift,
         "method": report.method.value,
         "parity_ok": report.parity_ok,
-        "charpoly_shifted": list(report.charpoly.coeffs),
+        "charpoly_shifted": None if report.charpoly is None else list(report.charpoly.coeffs),
         "eigenvalues_numeric": numeric_phys,
         "eigenvalues_closed_form": closed_phys,
         "max_root_deviation": report.max_root_deviation,
@@ -286,10 +292,7 @@ def cmd_scan(args) -> int:
     rows = []
     for value, built in zip(values, built_models):
         # diagonalize the shifted (chiral) part; emit physical eigenvalues
-        shifted = models.shifted_hamiltonian(built)
-        shifted_eigs = linalg.hermitian_eigensolve(shifted).eigenvalues
-        tol = chiral.default_pairing_tol(shifted)
-        report = chiral.pairing_check(shifted_eigs, tol, tol)
+        shifted_eigs, report = chiral.spectral_pairing(models.shifted_hamiltonian(built))
         rows.append((float(value), shifted_eigs + built.shift, report))
     header = (
         ["param", args.param]
@@ -366,10 +369,8 @@ def cmd_search(args) -> int:
     if not isinstance(doc, dict):
         raise ValueError(f"{args.input_file}: expected a JSON object")
     if "model" in doc:
-        built = models.build(models.parse_model(doc))
-        h = models.shifted_hamiltonian(built)
+        built, origin, h = _prepare(models.parse_model(doc))
         dims = built.dims
-        origin = models.model_tag(built.spec)
     elif {"dims", "entries"} <= set(doc):
         h, dims = _matrix_from_doc(doc, args.input_file)
         origin = "matrix"
@@ -378,47 +379,44 @@ def cmd_search(args) -> int:
             f"{args.input_file}: expected a model document or a matrix document "
             'with "dims" and "entries"'
         )
-    tol = _classify_tol(args)
-    hits = chiral.search_partners(h, dims, tol=tol)
-    results = []
-    for hit in hits:
-        verdict = chiral.classify(composite_matrix(hit, dims), h, tol)
-        results.append((hit, verdict.residual_anticommute))
+    hits = chiral.search_partners(h, dims, tol=_classify_tol(args))
     lines = [f"search over {origin} (dim {h.shape[0]}, subsystems {list(dims)}):"]
-    if results:
+    if hits:
         lines += [
-            f"  {hit.describe()}  anticommute residual {res:.3e}"
-            for hit, res in results
+            f"  {hit.describe()}  anticommute residual {verdict.residual_anticommute:.3e}"
+            for hit, verdict in hits
         ]
     else:
         lines.append("  no anticommuting rotation in the candidate family")
     payload = {
         "input": origin,
         "dims": list(dims),
-        "count": len(results),
+        "count": len(hits),
         "hits": [
-            {**_rotation_payload(hit), "residual_anticommute": res}
-            for hit, res in results
+            {**_rotation_payload(hit), "residual_anticommute": verdict.residual_anticommute}
+            for hit, verdict in hits
         ],
     }
     _emit(args, (lines, payload))
-    return 0 if results else 1
+    return 0 if hits else 1
 
 
 def cmd_charpoly(args) -> int:
-    built = models.build(models.load_model_file(args.model_file))
-    tag = models.model_tag(built.spec)
-    shifted = models.shifted_hamiltonian(built)
-    poly = charpoly.characteristic_polynomial(shifted)
-    parity_ok, reduced = charpoly.parity_reduce(poly)
+    built, tag, shifted = _prepare(models.load_model_file(args.model_file))
+    report = charpoly.full_solve(shifted)
+    poly, reduced = report.charpoly, report.reduced
+    if poly is None:
+        print(f"characteristic polynomial unavailable for dim {shifted.shape[0]}: above "
+              f"MAX_POLY_DIM = {charpoly.MAX_POLY_DIM} its coefficients lose accuracy", file=sys.stderr)
+        return 1
     lines = [
         f"model: {tag} (dim {poly.dim}, shift {_fmt(built.shift)})",
         "coefficients of det(H - shift - lambda), ascending in lambda:",
         "  " + ", ".join(_fmt(c) for c in poly.coeffs),
-        f"parity_ok: {parity_ok}",
-        f"zero-root multiplicity: {reduced.zero_root_multiplicity}",
+        f"parity_ok: {report.parity_ok}",
+        f"zero-root multiplicity: {report.zero_root_multiplicity}",
     ]
-    if parity_ok:
+    if reduced is not None:
         lines.append("reduced polynomial in mu = lambda^2, ascending:")
         lines.append("  " + ", ".join(_fmt(c) for c in reduced.mu_coeffs))
     payload = {
@@ -426,9 +424,9 @@ def cmd_charpoly(args) -> int:
         "dim": poly.dim,
         "shift": built.shift,
         "coefficients": list(poly.coeffs),
-        "parity_ok": parity_ok,
-        "zero_root_multiplicity": reduced.zero_root_multiplicity,
-        "mu_coefficients": list(reduced.mu_coeffs) if parity_ok else None,
+        "parity_ok": report.parity_ok,
+        "zero_root_multiplicity": report.zero_root_multiplicity,
+        "mu_coefficients": None if reduced is None else list(reduced.mu_coeffs),
     }
     _emit(args, (lines, payload))
     return 0
@@ -442,8 +440,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("text", "json"),
                         default=argparse.SUPPRESS,
                         help="output format (default text)")
-    common.add_argument("--tol", type=float, default=argparse.SUPPRESS,
-                        help="override the classification tolerance (default 1e-10)")
+    common.add_argument("--tol", type=_tolerance, default=argparse.SUPPRESS,
+                        help="override the classification tolerance, finite and "
+                             "positive (default 1e-10)")
     common.add_argument("--out", default=argparse.SUPPRESS,
                         help="write output to this path (scan: the CSV file)")
 

@@ -1,6 +1,7 @@
 """Shared test utilities: seeded random matrices and model draws, and the
 brute-force partner search the pruned one is checked against."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -80,6 +81,38 @@ def random_chiral_model(rng, family, max_twice_j=10, coupled_max=4):
     raise ValueError(family)
 
 
+FAMILIES = (
+    "crossed_fields", "crossed_fields_shifted", "general_field",
+    "triaxial_rotor", "toy_coupled", "oh_molecule",
+)
+
+
+def chiral_model_at_dim(rng, family, dim):
+    """A ``random_chiral_model`` draw resized to Hilbert dimension ``dim``,
+    or None when the family has no model of that size (the rotor needs
+    j >= 1; coupled families need dim = d1 * d2 with d1, d2 >= 2)."""
+    spec = random_chiral_model(rng, family)
+    if family in ("toy_coupled", "oh_molecule"):
+        splits = [(d, dim // d) for d in range(2, dim // 2 + 1) if dim % d == 0]
+        if not splits:
+            return None
+        d1, d2 = splits[int(rng.integers(len(splits)))]
+        return dataclasses.replace(spec, j1=SpinLabel(d1 - 1), j2=SpinLabel(d2 - 1))
+    if family == "triaxial_rotor" and dim < 3:
+        return None
+    return dataclasses.replace(spec, j=SpinLabel(dim - 1))
+
+
+def reference_charpoly(eigenvalues):
+    """Ascending coefficients of det(H - lambda I) from the spectrum, and a
+    per-coefficient tolerance 1e-9 e_k(|lambda|) + 1e-11 max_k e_k(|lambda|),
+    where e_k are the elementary symmetric sums that bound each coefficient."""
+    eigenvalues = np.asarray(eigenvalues)
+    coeffs = (-1.0) ** len(eigenvalues) * np.poly(eigenvalues)[::-1].real
+    scale = np.poly(-np.abs(eigenvalues))[::-1].real
+    return coeffs, 1e-9 * scale + 1e-11 * scale.max()
+
+
 def expected_general_field_j52(a, b, c):
     """The printed six-dimensional form, (1/2) x the sqrt5/sqrt8/3 pattern."""
     d = a - 1j * b
@@ -107,7 +140,8 @@ def write_model(tmp_path, doc, name="model.json"):
 def brute_force_search(h, dims, angles=None, axes=None, tol=DEFAULT_TOL):
     """Reference for ``chiral.search_partners``: build and classify every
     candidate of the 7^k family from nothing, in ``itertools.product``
-    order."""
+    order. A spin-0 slot (d = 1) takes no rotation: each of its rotations
+    is the 1x1 identity."""
     h = linalg.as_matrix(h)
     dims = tuple(int(d) for d in dims)
     if math.prod(dims) != h.shape[0]:
@@ -118,7 +152,7 @@ def brute_force_search(h, dims, angles=None, axes=None, tol=DEFAULT_TOL):
     angles = DEFAULT_SEARCH_ANGLES if angles is None else tuple(parse_angle(a) for a in angles)
     per_slot = [None] + [(axis, angle) for axis in axes for angle in angles]
     found = []
-    for combo in itertools.product(per_slot, repeat=len(dims)):
+    for combo in itertools.product(*([None] if d == 1 else per_slot for d in dims)):
         factors = []
         for slot, choice in enumerate(combo):
             if choice is not None:

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from chiralspin import linalg, models
+from chiralspin import charpoly, chiral, linalg, models
 from chiralspin.angmom import SpinLabel, build_spin_operators
 from chiralspin.charpoly import (
+    MAX_POLY_DIM,
     CharPoly,
     ReducedPoly,
     SolveMethod,
@@ -20,7 +21,13 @@ from chiralspin.charpoly import (
 from chiralspin.models import CrossedFields, GeneralField, OHMolecule, ToyCoupled, TriaxialRotor
 from chiralspin.rotations import composite_matrix
 
-from helpers import random_chiral_model, random_hermitian
+from helpers import (
+    FAMILIES,
+    chiral_model_at_dim,
+    random_chiral_model,
+    random_hermitian,
+    reference_charpoly,
+)
 
 
 def test_charpoly_general_field_j1(rng):
@@ -257,3 +264,68 @@ def test_root_set_equivalence_across_chiral_models(rng):
         report = full_solve(shifted, partner=partner)
         assert report.method is SolveMethod.RADICALS
         assert report.max_root_deviation < 1e-8 * max(1.0, linalg.frobenius(shifted))
+
+
+def test_max_poly_dim_keeps_coefficients_within_tolerance():
+    # the benchmark checks coefficients up to dim 13; measured worst shares of
+    # the tolerance: ~2.5% at dims 12-13, over 100% at dim 14
+    assert MAX_POLY_DIM >= 13
+    rng = np.random.default_rng(1313)
+    worst = 0.0
+    for dim in range(1, MAX_POLY_DIM + 1):
+        for family in FAMILIES:
+            for _ in range(10):
+                spec = chiral_model_at_dim(rng, family, dim)
+                if spec is None:
+                    continue
+                shifted = models.shifted_hamiltonian(models.build(spec))
+                report = full_solve(shifted)
+                eigs = np.linalg.eigvalsh(shifted)
+                tol = chiral.default_pairing_tol(shifted)
+                # parity and zero roots follow the eigvalsh spectrum at the
+                # default pairing tolerance, the rule verify and scan use
+                assert report.parity_ok == bool(np.all(np.abs(eigs + eigs[::-1]) < tol))
+                assert report.zero_root_multiplicity == int(np.sum(np.abs(eigs) < tol))
+                want, coeff_tol = reference_charpoly(eigs)
+                worst = max(worst, float(np.max(np.abs(np.array(report.charpoly.coeffs) - want) / coeff_tol)))
+    assert worst < 0.1
+
+
+def test_full_solve_builds_at_most_one_polynomial(monkeypatch, rng):
+    calls = []
+    original = charpoly.characteristic_polynomial
+
+    def counting(h):
+        calls.append(h.shape[0])
+        return original(h)
+
+    monkeypatch.setattr(charpoly, "characteristic_polynomial", counting)
+    for h, expected in (
+        (3.0 * random_hermitian(rng, 6), 1),
+        (models.build(GeneralField("5/2", 1.0, 2.0, 0.5)).hamiltonian, 1),
+        (np.zeros((4, 4)), 1),
+        (random_hermitian(rng, MAX_POLY_DIM + 1), 0),
+    ):
+        calls.clear()
+        full_solve(h)
+        assert len(calls) == expected
+
+
+def test_full_solve_many_zero_modes_still_radicals():
+    # two 2x2 blocks in dim 12 leave 8 zero modes and effective degree 2:
+    # zero modes make the route radicals above dim 11
+    h = np.zeros((12, 12), dtype=complex)
+    h[0, 1] = h[1, 0] = 1.0
+    h[2, 3] = h[3, 2] = 2.0
+    report = full_solve(h)
+    assert report.parity_ok and report.zero_root_multiplicity == 8
+    assert report.method is SolveMethod.RADICALS
+    assert np.allclose(report.closed_form_eigenvalues, [-2, -1] + [0] * 8 + [1, 2], atol=1e-12)
+
+
+def test_full_solve_rejects_anticommuting_partner_of_unpaired_spectrum(rng):
+    h = random_hermitian(rng, 4)
+    with pytest.raises(SpectrumInconsistencyError, match="not mirror-paired"):
+        # the zero operator classifies as "both" against any H
+        full_solve(h, partner=np.zeros((4, 4)))
+    assert not full_solve(h, partner=np.eye(4)).parity_ok

@@ -3,6 +3,7 @@ import pytest
 
 from chiralspin import chiral, linalg, models
 from chiralspin.angmom import SpinLabel, build_spin_operators
+from chiralspin.charpoly import MAX_POLY_DIM, SolveMethod, full_solve
 from chiralspin.chiral import (
     Symmetry,
     chiral_map_check,
@@ -10,6 +11,7 @@ from chiralspin.chiral import (
     default_pairing_tol,
     pairing_check,
     search_partners,
+    spectral_pairing,
     trace_oddpower_check,
 )
 from chiralspin.models import (
@@ -22,6 +24,7 @@ from chiralspin.models import (
 from chiralspin.rotations import CompositeRotation, RotationSpec, composite_matrix
 
 from helpers import (
+    FAMILIES,
     brute_force_search,
     random_chiral_model,
     random_hermitian,
@@ -149,10 +152,14 @@ def test_chiral_map_requires_anticommutation():
         chiral_map_check(np.eye(2), np.diag([1.0, 2.0]).astype(complex))
 
 
+def _rotations(hits):
+    return [rot for rot, _ in hits]
+
+
 def test_search_finds_toy_partner():
     built = models.build(ToyCoupled("1/2", "1/2", 1.0, 1.0))
     hits = search_partners(built.hamiltonian, built.dims)
-    assert built.chiral_partner in hits
+    assert built.chiral_partner in _rotations(hits)
 
 
 def test_search_identity_finds_nothing():
@@ -162,16 +169,36 @@ def test_search_identity_finds_nothing():
 def test_search_finds_oh_partner():
     built = models.build(OHMolecule())
     hits = search_partners(built.hamiltonian, built.dims)
-    assert built.chiral_partner in hits
+    assert built.chiral_partner in _rotations(hits)
 
 
 def test_search_hits_reclassify_as_anticommuting():
     built = models.build(ToyCoupled("1/2", "1", 0.8, -1.1))
     hits = search_partners(built.hamiltonian, built.dims)
     assert hits
-    for hit in hits:
-        verdict = classify(composite_matrix(hit, built.dims), built.hamiltonian)
+    for hit, verdict in hits:
         assert verdict.kind is Symmetry.ANTICOMMUTING
+        # the walk's prefix is the matrix composite_matrix builds, bit for bit
+        assert classify(composite_matrix(hit, built.dims), built.hamiltonian) == verdict
+
+
+def test_search_spin_zero_slots_offer_only_identity():
+    # every rotation of a d = 1 slot is [[1]]: offering all seven would
+    # repeat each hit 7 times per spin-0 slot (4,802 hits here)
+    jz = build_spin_operators("1/2").jz
+    dims = (1, 1, 1, 1, 2)
+    hits = search_partners(jz, dims)
+    assert [hit.describe() for hit, _ in hits] == ["R[4,x](pi)", "R[4,y](pi)"]
+    assert _rotations(hits) == brute_force_search(jz, dims)
+    assert [hit.describe() for hit, _ in search_partners(jz, (2,))] == ["R[0,x](pi)", "R[0,y](pi)"]
+
+
+def test_spectral_pairing_uses_default_tolerance(rng):
+    h = 1e3 * random_hermitian(rng, 5)
+    eigenvalues, report = spectral_pairing(h)
+    tol = default_pairing_tol(h)
+    assert np.array_equal(eigenvalues, linalg.hermitian_eigensolve(h).eigenvalues)
+    assert report == pairing_check(eigenvalues, tol, tol)
 
 
 def test_search_rejects_inconsistent_dims():
@@ -199,13 +226,7 @@ def test_search_finds_documented_partner(family, rng):
     built = models.build(spec)
     shifted = models.shifted_hamiltonian(built)
     hits = search_partners(shifted, built.dims)
-    assert built.chiral_partner in hits
-
-
-FAMILIES = (
-    "crossed_fields", "crossed_fields_shifted", "general_field",
-    "triaxial_rotor", "toy_coupled", "oh_molecule",
-)
+    assert built.chiral_partner in _rotations(hits)
 
 
 def _fixture_searches():
@@ -236,7 +257,10 @@ def _fixture_searches():
 
 @pytest.mark.parametrize("h, dims", _fixture_searches())
 def test_search_matches_brute_force_on_fixtures(h, dims):
-    assert search_partners(h, dims) == brute_force_search(h, dims)
+    hits = search_partners(h, dims)
+    assert _rotations(hits) == brute_force_search(h, dims)
+    for hit, verdict in hits:
+        assert classify(composite_matrix(hit, dims), h) == verdict
 
 
 OBLIQUE_AXES = ([1, 0, 0], [0, 1, 0], [0, 0, 1], [0.6, 0.8, 0.0])
@@ -298,7 +322,7 @@ def _generated_searches():
 
 @pytest.mark.parametrize("h, dims, kwargs", _generated_searches())
 def test_search_matches_brute_force_on_generated_chains(h, dims, kwargs):
-    assert search_partners(h, dims, **kwargs) == brute_force_search(h, dims, **kwargs)
+    assert _rotations(search_partners(h, dims, **kwargs)) == brute_force_search(h, dims, **kwargs)
 
 
 def test_generated_searches_are_many_and_often_hit():
@@ -320,7 +344,7 @@ def test_search_six_spin_chain_finds_alternating_partners(monkeypatch):
 
     monkeypatch.setattr(chiral, "classify", counting)
     hits = search_partners(h, dims)
-    assert [hit.describe() for hit in hits] == [
+    assert [hit.describe() for hit, _ in hits] == [
         "R[0,x](pi) * R[1,y](pi) * R[2,x](pi) * R[3,y](pi) * R[4,x](pi) * R[5,y](pi)",
         "R[0,y](pi) * R[1,x](pi) * R[2,y](pi) * R[3,x](pi) * R[4,y](pi) * R[5,x](pi)",
     ]
@@ -386,7 +410,9 @@ def _generated_chiral(rng, dims):
 def _assert_chiral_identities(c, h):
     """Mirror pairing, exactly one zero mode at odd dim (every slot is
     rotated, so C's two eigenspaces differ in size by dim mod 2 and H maps
-    each into the other), and the eigenvector map C: lambda -> -lambda."""
+    each into the other), the eigenvector map C: lambda -> -lambda, and
+    through ``full_solve`` the same pairing, an even characteristic
+    polynomial up to MAX_POLY_DIM and closed forms on the radicals route."""
     dim = h.shape[0]
     eig = linalg.hermitian_eigensolve(h)
     tol = default_pairing_tol(h)
@@ -397,6 +423,18 @@ def _assert_chiral_identities(c, h):
     mapped = chiral_map_check(c, h)
     assert mapped.ok, dim
     assert mapped.checked == dim - dim % 2
+    solved = full_solve(h, partner=c)
+    assert solved.parity_ok, dim
+    assert solved.zero_root_multiplicity == dim % 2, dim
+    if dim > MAX_POLY_DIM:
+        assert solved.charpoly is None and solved.method is SolveMethod.NUMERIC_ONLY
+        return
+    coeffs = np.array(solved.charpoly.coeffs)
+    assert np.max(np.abs(coeffs[dim % 2 + 1::2])) <= 1e-10 * np.max(np.abs(coeffs)), dim
+    assert solved.reduced.mu_coeffs == tuple(coeffs[dim % 2::2])
+    if dim <= 9:
+        assert solved.method is SolveMethod.RADICALS
+        assert solved.max_root_deviation < 1e-9 * linalg.frobenius(h), dim
 
 
 def test_generated_chiral_single_spin_dims_2_to_40(rng):

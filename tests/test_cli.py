@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 from chiralspin import cli, models
+from chiralspin.charpoly import MAX_POLY_DIM
+from chiralspin.chiral import default_pairing_tol
 
-from helpers import write_model
+from helpers import FAMILIES, chiral_model_at_dim, reference_charpoly, write_model
 
 
 def run_cli(capsys, *argv):
@@ -514,6 +516,120 @@ def test_charpoly_zero_model(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["coefficients"] == pytest.approx([0.0, 0.0, 0.0, 0.0, 1.0], abs=0.0)
+
+
+def _eigvalsh_rule(doc):
+    """Shifted spectrum of a model document by eigvalsh, ||H||_F, and its
+    pairing and zero-mode count at the default pairing tolerance."""
+    shifted = models.shifted_hamiltonian(models.build(models.parse_model(doc)))
+    eigs = np.linalg.eigvalsh(shifted)
+    tol = default_pairing_tol(shifted)
+    paired = bool(np.all(np.abs(eigs + eigs[::-1]) < tol))
+    return eigs, float(np.linalg.norm(eigs)), paired, int(np.sum(np.abs(eigs) < tol))
+
+
+def _spectrum_and_charpoly(capsys, path):
+    code, out, err = run_cli(capsys, "--format", "json", "spectrum", path)
+    assert code == 0, err
+    spectrum = json.loads(out)
+    code, out, err = run_cli(capsys, "--format", "json", "charpoly", path)
+    return spectrum, code, out, err
+
+
+# Inputs where a cut on small polynomial coefficients would take tiny +-
+# pairs for zero roots (rotors, coupled spins), and dim 21, where the trace
+# recursion's coefficients turn complex
+SOLVE_REPROS = [
+    pytest.param({"model": "triaxial_rotor", "j": "7/2", "params": {
+        "ix": 2.6408270015621857, "iy": 2.4431396216292955, "iz": 2.5381398264707147}},
+        "radicals", id="rotor-7/2"),
+    pytest.param({"model": "triaxial_rotor", "j": "13/2", "params": {
+        "ix": 1.9276497324815398, "iy": 1.9312389026685257, "iz": 1.9294426484231282}},
+        "numeric_only", id="rotor-13/2"),
+    pytest.param({"model": "toy_coupled", "j1": "3/2", "j2": "1/2", "params": {
+        "A": 1.087390810621687, "B": -1.1200062527281252}}, "radicals", id="toy-3/2-1/2"),
+    pytest.param({"model": "toy_coupled", "j1": "1/2", "j2": "5/2", "params": {
+        "A": 0.36909993077075426, "B": 0.3957483897191038}}, "numeric_only", id="toy-1/2-5/2"),
+    pytest.param({"model": "general_field", "j": "10", "params": {"a": 0.7, "b": -1.3, "c": 0.4}},
+                 "numeric_only", id="general-10"),
+]
+
+
+@pytest.mark.parametrize("doc, method", SOLVE_REPROS)
+def test_solve_path_regressions(tmp_path, capsys, doc, method):
+    path = write_model(tmp_path, doc)
+    eigs, hnorm, paired, zeros = _eigvalsh_rule(doc)
+    spectrum, code, out, err = _spectrum_and_charpoly(capsys, path)
+    assert spectrum["method"] == method
+    assert spectrum["parity_ok"] == paired
+    if method == "radicals":
+        closed = np.array(spectrum["eigenvalues_closed_form"]) - spectrum["shift"]
+        assert np.max(np.abs(closed - eigs)) <= 1e-9 * max(1.0, hnorm)
+    if len(eigs) > MAX_POLY_DIM:
+        assert spectrum["charpoly_shifted"] is None
+        assert code == 1 and out == ""
+        assert err == (f"characteristic polynomial unavailable for dim {len(eigs)}: "
+                       f"above MAX_POLY_DIM = {MAX_POLY_DIM} its coefficients lose accuracy\n")
+        return
+    assert code == 0, err
+    poly = json.loads(out)
+    assert (poly["parity_ok"], poly["zero_root_multiplicity"]) == (paired, zeros)
+    want, tol = reference_charpoly(eigs)
+    assert np.all(np.abs(np.array(poly["coefficients"]) - want) <= tol)
+
+
+@pytest.mark.parametrize("twice_j", [21, 30, 60])
+def test_large_dims_solve_cleanly(tmp_path, capsys, twice_j):
+    path = write_model(tmp_path, {"model": "general_field", "j": f"{twice_j}/2",
+                                  "params": {"a": 0.7, "b": -1.3, "c": 0.4}})
+    dim = twice_j + 1
+    spectrum, code, out, err = _spectrum_and_charpoly(capsys, path)
+    assert spectrum["dim"] == dim and spectrum["method"] == "numeric_only"
+    assert spectrum["charpoly_shifted"] is None and spectrum["eigenvalues_closed_form"] is None
+    assert spectrum["parity_ok"] is True
+    assert code == 1 and out == ""
+    assert err.startswith(f"characteristic polynomial unavailable for dim {dim}: ") and err.count("\n") == 1
+    code, out, err = run_cli(capsys, "--format", "json", "verify", path)
+    assert code == 0 and err == ""
+    assert json.loads(out)["verified"] is True
+
+
+def test_spectrum_and_charpoly_agree_with_eigvalsh_rule(tmp_path, capsys):
+    rng = np.random.default_rng(2024)
+    for dim in range(1, MAX_POLY_DIM + 1):
+        for family in FAMILIES:
+            spec = chiral_model_at_dim(rng, family, dim)
+            if spec is None:
+                continue
+            doc = {"model": models.model_tag(spec), "params": {
+                k: v for k, v in vars(spec).items() if not isinstance(v, models.SpinLabel)}}
+            doc.update({k: str(v) for k, v in vars(spec).items() if isinstance(v, models.SpinLabel)})
+            path = write_model(tmp_path, doc)
+            _, _, paired, zeros = _eigvalsh_rule(doc)
+            spectrum, code, out, err = _spectrum_and_charpoly(capsys, path)
+            assert code == 0, err
+            poly = json.loads(out)
+            assert spectrum["parity_ok"] == poly["parity_ok"] == paired, (family, dim)
+            assert poly["zero_root_multiplicity"] == zeros, (family, dim)
+            assert spectrum["charpoly_shifted"] == poly["coefficients"]
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "1e999", "0", "-0", "-1", "tiny"])
+def test_tol_must_be_finite_and_positive(tmp_path, capsys, tol):
+    model = write_model(tmp_path, {"model": "crossed_fields", "j": "1", "params": {"a": 1.0, "b": 2.0}})
+    rotation = json.dumps({"axis": [1, 0, 0], "angle": "pi/4"})
+    for argv in (
+        ["verify", model, "--rotation", rotation, "--tol", tol],
+        ["--tol", tol, "verify", model],
+        ["search", model, "--tol", tol],
+        ["--tol", tol, "charpoly", model],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --tol" in captured.err
 
 
 def test_usage_error_exits_2():

@@ -17,16 +17,7 @@ from chiralspin.models import (
 )
 from chiralspin.rotations import composite_matrix
 
-from helpers import expected_general_field_j52, random_chiral_model
-
-FAMILIES = (
-    "crossed_fields",
-    "crossed_fields_shifted",
-    "general_field",
-    "triaxial_rotor",
-    "toy_coupled",
-    "oh_molecule",
-)
+from helpers import FAMILIES, expected_general_field_j52, random_chiral_model
 
 
 def test_general_field_j1_matrix():
