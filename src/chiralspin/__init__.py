@@ -24,11 +24,9 @@ from .chiral import (
     PairingReport,
     Symmetry,
     SymmetryVerdict,
-    chiral_map_check,
     classify,
     pairing_check,
     search_partners,
-    trace_oddpower_check,
 )
 from .linalg import (
     EigenDecomposition,
@@ -36,7 +34,6 @@ from .linalg import (
     commutator,
     hermitian_eigensolve,
     kron,
-    norms_and_checks,
     unitary_exp,
 )
 from .models import (

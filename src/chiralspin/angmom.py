@@ -9,6 +9,7 @@ bookkeeping.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,13 +17,11 @@ import numpy as np
 from .linalg import as_matrix, identity, kron
 
 __all__ = [
-    "LadderReport",
     "MAX_HILBERT_DIM",
     "SpinLabel",
     "SpinOperators",
     "build_spin_operators",
     "embed",
-    "ladder_action_check",
 ]
 
 # Largest Hilbert-space dimension any model or operator may have. Every dense
@@ -48,7 +47,9 @@ class SpinLabel:
         """Accept "1/2", "5/2", "1", "0", or a numeric half-integer."""
         if isinstance(value, SpinLabel):
             return value
-        if isinstance(value, (int, float)):
+        if isinstance(value, bool) or not isinstance(value, (str, numbers.Real)):
+            raise ValueError(f"invalid spin label {value!r}")
+        if isinstance(value, numbers.Real):
             return cls.from_value(value)
         s = str(value).strip()
         if "/" in s:
@@ -140,29 +141,6 @@ def build_spin_operators(label) -> SpinOperators:
     jy = -0.5j * (jplus - jminus)
     jsq = (tj * (tj + 2) / 4.0) * identity(dim)
     return SpinOperators(label, jx, jy, jz, jplus, jminus, jsq)
-
-
-@dataclass(frozen=True)
-class LadderReport:
-    j: SpinLabel
-    max_residual: float
-    ok: bool
-
-
-def ladder_action_check(label, tol: float = 1e-12) -> LadderReport:
-    """Confirm J+|j,m> = sqrt(j(j+1) - m(m+1)) |j,m+1> column by column,
-    including annihilation of the top (J+) and bottom (J-) states."""
-    ops = build_spin_operators(label)
-    tj = ops.j.twice_j
-    dim = ops.dim
-    worst = 0.0
-    for k in range(dim):
-        expected = np.zeros(dim, dtype=np.complex128)
-        if k > 0:
-            expected[k - 1] = _ladder_coeff(tj, tj - 2 * k)
-        worst = max(worst, float(np.linalg.norm(ops.jplus[:, k] - expected)))
-    worst = max(worst, float(np.linalg.norm(ops.jminus[:, dim - 1])))
-    return LadderReport(ops.j, worst, worst <= tol)
 
 
 def embed(op, slot: int, dims) -> np.ndarray:

@@ -57,12 +57,6 @@ class CharPoly:
     def dim(self) -> int:
         return len(self.coeffs) - 1
 
-    def evaluate(self, x: float) -> float:
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
 
 def characteristic_polynomial(h) -> CharPoly:
     """Coefficients of det(H - lambda I) from the trace recursion.
@@ -101,14 +95,6 @@ class ReducedPoly:
 
     zero_root_multiplicity: int
     mu_coeffs: tuple[float, ...]
-
-    def reconstruct(self) -> tuple[float, ...]:
-        """Re-expand to ascending lambda coefficients, for verification."""
-        m = self.zero_root_multiplicity
-        out = [0.0] * (m + 2 * (len(self.mu_coeffs) - 1) + 1)
-        for i, c in enumerate(self.mu_coeffs):
-            out[m + 2 * i] = c
-        return tuple(out)
 
 
 def parity_reduce(poly: CharPoly, tol: float = ZERO_COEFF_TOL) -> tuple[bool, ReducedPoly]:

@@ -1,7 +1,6 @@
 """Classify operators as commuting or anticommuting with a Hamiltonian,
-check spectra for mirror pairing and zero modes, map eigenstates across the
-pairing, and search a finite family of rotation products for anticommuting
-partners."""
+check spectra for mirror pairing and zero modes, and search a finite family
+of rotation products for anticommuting partners."""
 
 from __future__ import annotations
 
@@ -25,21 +24,17 @@ from .rotations import (
 )
 
 __all__ = [
-    "ChiralMapReport",
     "DEFAULT_SEARCH_ANGLES",
     "DEFAULT_SEARCH_AXES",
     "DEFAULT_TOL",
-    "OddPowerTraceReport",
     "PairingReport",
     "Symmetry",
     "SymmetryVerdict",
-    "chiral_map_check",
     "classify",
     "default_pairing_tol",
     "pairing_check",
     "search_partners",
     "spectral_pairing",
-    "trace_oddpower_check",
 ]
 
 DEFAULT_TOL = 1e-10
@@ -129,41 +124,6 @@ def spectral_pairing(h) -> tuple[np.ndarray, PairingReport]:
     return eigenvalues, pairing_check(eigenvalues, tol, tol)
 
 
-@dataclass(frozen=True)
-class ChiralMapReport:
-    """Worst residual of H(C psi) + lambda (C psi) over nonzero eigenpairs."""
-
-    checked: int
-    max_residual: float
-    bound: float
-    ok: bool
-
-
-def chiral_map_check(c, h, tol: float = DEFAULT_TOL, tol_zero: float | None = None) -> ChiralMapReport:
-    """Verify that C maps each eigenvector at +lambda to one at -lambda."""
-    verdict = classify(c, h, tol)
-    if verdict.residual_anticommute >= tol:
-        raise ValueError(
-            "operator does not anticommute with the Hamiltonian "
-            f"(residual {verdict.residual_anticommute:.3e})"
-        )
-    c = linalg.as_matrix(c)
-    h = linalg.as_matrix(h)
-    eig = linalg.hermitian_eigensolve(h)
-    if tol_zero is None:
-        tol_zero = default_pairing_tol(h)
-    bound = 1e-9 * linalg.frobenius(h)
-    worst = 0.0
-    checked = 0
-    for lam, vec in zip(eig.eigenvalues, eig.eigenvectors.T):
-        if abs(lam) <= tol_zero:
-            continue
-        mapped = c @ vec
-        worst = max(worst, float(np.linalg.norm(h @ mapped + lam * mapped)))
-        checked += 1
-    return ChiralMapReport(checked, worst, bound, worst <= bound)
-
-
 def search_partners(h, dims, angles=None, axes=None,
                     tol: float = DEFAULT_TOL) -> list[tuple[CompositeRotation, SymmetryVerdict]]:
     """Return every composite rotation from the candidate family that
@@ -240,28 +200,3 @@ def search_partners(h, dims, angles=None, axes=None,
 
     walk(0, np.ones((1, 1), dtype=np.complex128))
     return found
-
-
-@dataclass(frozen=True)
-class OddPowerTraceReport:
-    """(power, trace, allowed bound) rows; all traces vanish iff the spectrum
-    is mirror symmetric."""
-
-    traces: tuple[tuple[int, float, float], ...]
-    all_vanish: bool
-
-
-def trace_oddpower_check(h, max_power: int = 7) -> OddPowerTraceReport:
-    """tr(H^k) for odd k <= max_power, each judged against 1e-9 ||H||_F^k."""
-    h = linalg.require_hermitian(h)
-    hnorm = linalg.frobenius(h)
-    hsq = h @ h
-    power = h
-    rows = []
-    k = 1
-    while k <= max_power:
-        rows.append((k, float(np.trace(power).real), 1e-9 * hnorm**k))
-        power = power @ hsq
-        k += 2
-    ok = all(abs(value) <= bound for _, value, bound in rows)
-    return OddPowerTraceReport(tuple(rows), ok)

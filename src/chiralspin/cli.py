@@ -38,18 +38,22 @@ def _csv(x) -> str:
     return f"{float(x):.17g}"
 
 
-def _emit(args, lines_or_payload):
-    """Write text lines or a JSON payload to --out or stdout."""
-    if getattr(args, "format", "text") == "json":
-        text = json.dumps(lines_or_payload[1], indent=2, sort_keys=True)
-    else:
-        text = "\n".join(lines_or_payload[0])
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
+def _write(path, text):
+    """Write text plus a newline to ``path``, or print it to stdout."""
+    if path:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text + "\n")
     else:
         print(text)
+
+
+def _emit(args, lines_or_payload, path):
+    """Write text lines or, with --format json, a JSON payload to ``path``
+    or stdout."""
+    if args.format == "json":
+        _write(path, json.dumps(lines_or_payload[1], indent=2, sort_keys=True))
+    else:
+        _write(path, "\n".join(lines_or_payload[0]))
 
 
 def _matrix_lines(m) -> list[str]:
@@ -125,10 +129,6 @@ def _tolerance(text) -> float:
     return value
 
 
-def _classify_tol(args) -> float:
-    return getattr(args, "tol", chiral.DEFAULT_TOL)
-
-
 def _prepare(spec):
     """Build a model: (built model, its tag, H - shift)."""
     built = models.build(spec)
@@ -146,7 +146,7 @@ def cmd_ops(args) -> int:
         "dim": label.dim,
         "entries": _matrix_entries(matrix),
     }
-    _emit(args, (lines, payload))
+    _emit(args, (lines, payload), args.out)
     return 0
 
 
@@ -168,11 +168,11 @@ def cmd_verify(args) -> int:
                 "condition_note": built.condition_note,
                 "verified": False,
             }
-            _emit(args, (lines, payload))
+            _emit(args, (lines, payload), args.out)
             return 1
     else:
         rot = _rotation_from_text(args.rotation)
-    verdict = chiral.classify(composite_matrix(rot, built.dims), shifted, _classify_tol(args))
+    verdict = chiral.classify(composite_matrix(rot, built.dims), shifted, args.tol)
     _, pairing = chiral.spectral_pairing(shifted)
     verified = (
         verdict.kind in (Symmetry.ANTICOMMUTING, Symmetry.BOTH)
@@ -201,7 +201,7 @@ def cmd_verify(args) -> int:
         "condition_note": built.condition_note,
         "verified": verified,
     }
-    _emit(args, (lines, payload))
+    _emit(args, (lines, payload), args.out)
     return 0 if verified else 1
 
 
@@ -238,7 +238,7 @@ def cmd_spectrum(args) -> int:
             "method": "numeric_only",
             "eigenvalues_numeric": [float(v) for v in numeric],
         }
-        _emit(args, (lines, payload))
+        _emit(args, (lines, payload), args.out)
         return 0
     partner = None
     if built.chiral_partner is not None:
@@ -270,16 +270,15 @@ def cmd_spectrum(args) -> int:
         "eigenvalues_closed_form": closed_phys,
         "max_root_deviation": report.max_root_deviation,
     }
-    _emit(args, (lines, payload))
+    _emit(args, (lines, payload), args.out)
     return 0
 
 
 def cmd_scan(args) -> int:
     spec = models.load_model_file(args.model_file)
-    out_path = getattr(args, "out", None)
     if args.steps < 1:
         raise ValueError("--steps must be at least 1")
-    if not out_path:
+    if not args.out:
         raise ValueError("scan writes CSV and requires --out PATH")
     dim = models.hilbert_dim(spec)
     if args.steps * dim * dim > SCAN_MAX_ENTRIES:
@@ -299,38 +298,36 @@ def cmd_scan(args) -> int:
         + [f"lambda_{i}" for i in range(1, dim + 1)]
         + ["pairing_ok", "max_pair_mismatch"]
     )
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for value, eigs, report in rows:
-            cells = [args.param, _csv(value)]
-            cells += [_csv(v) for v in eigs]
-            cells += ["true" if report.is_chiral_paired else "false", _csv(report.max_mismatch)]
-            fh.write(",".join(cells) + "\n")
+    csv_lines = [",".join(header)]
+    for value, eigs, report in rows:
+        cells = [args.param, _csv(value)]
+        cells += [_csv(v) for v in eigs]
+        cells += ["true" if report.is_chiral_paired else "false", _csv(report.max_mismatch)]
+        csv_lines.append(",".join(cells))
+    _write(args.out, "\n".join(csv_lines))
     failures = [(value, report) for value, _, report in rows if not report.is_chiral_paired]
     first_value, first_report = failures[0] if failures else (None, None)
-    if getattr(args, "format", "text") == "json":
-        payload = {
-            "rows": len(rows),
-            "out": out_path,
-            "all_paired": not failures,
-            "first_failure": None
-            if not failures
-            else {
-                "param_value": first_value,
-                "max_pair_mismatch": first_report.max_mismatch,
-            },
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        summary = (
-            "all rows chiral-paired"
-            if not failures
-            else (
-                f"pairing FAILED first at {args.param} = {_fmt(first_value)} "
-                f"(mismatch {first_report.max_mismatch:.3e})"
-            )
+    summary = (
+        "all rows chiral-paired"
+        if not failures
+        else (
+            f"pairing FAILED first at {args.param} = {_fmt(first_value)} "
+            f"(mismatch {first_report.max_mismatch:.3e})"
         )
-        print(f"wrote {len(rows)} rows to {out_path}; {summary}")
+    )
+    payload = {
+        "rows": len(rows),
+        "out": args.out,
+        "all_paired": not failures,
+        "first_failure": None
+        if not failures
+        else {
+            "param_value": first_value,
+            "max_pair_mismatch": first_report.max_mismatch,
+        },
+    }
+    # --out holds the CSV, so the summary goes to stdout
+    _emit(args, ([f"wrote {len(rows)} rows to {args.out}; {summary}"], payload), None)
     return 0
 
 
@@ -361,15 +358,11 @@ def _matrix_from_doc(doc, origin):
 
 
 def cmd_search(args) -> int:
-    with open(args.input_file, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{args.input_file}: not valid JSON ({exc})") from None
+    doc = models.read_json_file(args.input_file)
     if not isinstance(doc, dict):
         raise ValueError(f"{args.input_file}: expected a JSON object")
     if "model" in doc:
-        built, origin, h = _prepare(models.parse_model(doc))
+        built, origin, h = _prepare(models.load_model_file(args.input_file, doc))
         dims = built.dims
     elif {"dims", "entries"} <= set(doc):
         h, dims = _matrix_from_doc(doc, args.input_file)
@@ -379,7 +372,7 @@ def cmd_search(args) -> int:
             f"{args.input_file}: expected a model document or a matrix document "
             'with "dims" and "entries"'
         )
-    hits = chiral.search_partners(h, dims, tol=_classify_tol(args))
+    hits = chiral.search_partners(h, dims, tol=args.tol)
     lines = [f"search over {origin} (dim {h.shape[0]}, subsystems {list(dims)}):"]
     if hits:
         lines += [
@@ -397,7 +390,7 @@ def cmd_search(args) -> int:
             for hit, verdict in hits
         ],
     }
-    _emit(args, (lines, payload))
+    _emit(args, (lines, payload), args.out)
     return 0 if hits else 1
 
 
@@ -428,14 +421,14 @@ def cmd_charpoly(args) -> int:
         "zero_root_multiplicity": report.zero_root_multiplicity,
         "mu_coefficients": None if reduced is None else list(reduced.mu_coeffs),
     }
-    _emit(args, (lines, payload))
+    _emit(args, (lines, payload), args.out)
     return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
     # global flags live on a parent so they are accepted both before and
     # after the subcommand; SUPPRESS keeps the subparser from clobbering a
-    # value parsed at the top level
+    # value parsed at the top level, and main supplies the defaults
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"),
                         default=argparse.SUPPRESS,
@@ -499,7 +492,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    defaults = argparse.Namespace(format="text", tol=chiral.DEFAULT_TOL, out=None)
+    args = build_parser().parse_args(argv, defaults)
     try:
         return args.func(args)
     except (ValueError, OSError, ArithmeticError) as exc:

@@ -7,6 +7,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -39,6 +40,7 @@ __all__ = [
     "parameter_names",
     "parameter_sweep",
     "parse_model",
+    "read_json_file",
     "shifted_hamiltonian",
     "subsystem_dims",
 ]
@@ -56,6 +58,8 @@ def _coerce(spec):
         if f.name in _SPIN_FIELDS:
             object.__setattr__(spec, f.name, SpinLabel.parse(value))
             continue
+        if isinstance(value, bool) or not isinstance(value, (str, numbers.Real)):
+            raise ValueError(f"parameter {f.name!r} must be a number, got {value!r}")
         value = parse_angle(value) if isinstance(value, str) else float(value)
         if not math.isfinite(value):
             raise ValueError(f"parameter {f.name!r} must be finite")
@@ -386,12 +390,20 @@ def parse_model(doc) -> ModelSpec:
     return cls(**kwargs)
 
 
-def load_model_file(path) -> ModelSpec:
+def read_json_file(path):
+    """The JSON document in a file; a syntax error names the file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: not valid JSON ({exc})") from None
+
+
+def load_model_file(path, doc=None) -> ModelSpec:
+    """Parse the model document in a file, or ``doc`` when the caller has
+    already read it with ``read_json_file``; every error names the file."""
+    if doc is None:
+        doc = read_json_file(path)
     try:
         return parse_model(doc)
     except ValueError as exc:

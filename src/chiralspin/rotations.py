@@ -5,6 +5,7 @@ partners."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,9 +94,11 @@ class RotationSpec:
     angle: float
 
     def __post_init__(self):
-        if int(self.slot) != self.slot or self.slot < 0:
-            raise ValueError(f"slot must be a non-negative integer, got {self.slot!r}")
-        object.__setattr__(self, "slot", int(self.slot))
+        slot = self.slot
+        if (isinstance(slot, bool) or not isinstance(slot, numbers.Real)
+                or not float(slot).is_integer() or slot < 0):
+            raise ValueError(f"slot must be a non-negative integer, got {slot!r}")
+        object.__setattr__(self, "slot", int(slot))
         object.__setattr__(self, "axis", unit_axis(self.axis))
         object.__setattr__(self, "angle", parse_angle(self.angle))
 

@@ -1,10 +1,13 @@
 """Shared test utilities: seeded random matrices and model draws, and the
-brute-force partner search the pruned one is checked against."""
+reference code the package is checked against: the brute-force partner
+search, the Jacobi eigensolver, and the eigenvector-map, odd-power-trace and
+ladder-action checks of the paper's identities. No command calls these."""
 
 import dataclasses
 import itertools
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,7 +19,9 @@ from chiralspin.chiral import (
     DEFAULT_TOL,
     Symmetry,
     classify,
+    default_pairing_tol,
 )
+from chiralspin.linalg import EigenDecomposition, frobenius, identity, require_hermitian
 from chiralspin.models import (
     CrossedFields,
     CrossedFieldsShifted,
@@ -184,3 +189,164 @@ def spin_chain(rng, dims, coupling="xy", fields=False):
         for i, slot_ops in enumerate(ops):
             h += rng.uniform(-1.5, 1.5) * embed(slot_ops.jz, i, dims)
     return h
+
+
+# Jacobi iteration: sweep cap and relative off-diagonal convergence target.
+JACOBI_MAX_SWEEPS = 100
+JACOBI_OFFDIAG_TOL = 1e-14
+
+
+class ConvergenceError(RuntimeError):
+    """The Jacobi iteration exhausted its sweep budget."""
+
+    def __init__(self, sweeps, offdiag):
+        super().__init__(
+            f"eigensolver did not converge after {sweeps} sweeps "
+            f"(off-diagonal norm {offdiag:.3e})"
+        )
+        self.sweeps = sweeps
+        self.offdiag = offdiag
+
+
+def _offdiagonal_norm(a):
+    return frobenius(a - np.diag(np.diag(a)))
+
+
+def _rotate_columns(m, p, q, c, s, phase):
+    col_p = m[:, p].copy()
+    col_q = m[:, q].copy()
+    m[:, p] = c * col_p - s * np.conj(phase) * col_q
+    m[:, q] = s * phase * col_p + c * col_q
+
+
+def _rotate_rows(m, p, q, c, s, phase):
+    row_p = m[p, :].copy()
+    row_q = m[q, :].copy()
+    m[p, :] = c * row_p - s * phase * row_q
+    m[q, :] = s * np.conj(phase) * row_p + c * row_q
+
+
+def jacobi_eigensolve(h) -> EigenDecomposition:
+    """Diagonalize a Hermitian matrix with cyclic complex Jacobi rotations.
+
+    Each sweep annihilates every off-diagonal pair in turn with a unitary
+    plane rotation; iteration stops once the off-diagonal Frobenius norm
+    drops below 1e-14 of the input norm. Quadratic convergence makes this
+    exact to machine precision at the matrix sizes used here, and the
+    accumulated rotations give orthonormal eigenvectors even for degenerate
+    eigenvalues. Ties in the ascending sort keep their sweep order.
+
+    This is the reference solver: it shares no code with LAPACK, so the
+    tests check ``linalg.hermitian_eigensolve`` against it.
+    """
+    h = require_hermitian(h)
+    n = h.shape[0]
+    a = 0.5 * (h + h.conj().T)
+    v = identity(n)
+    target = JACOBI_OFFDIAG_TOL * frobenius(h)
+    sweeps = 0
+    while _offdiagonal_norm(a) > target:
+        if sweeps >= JACOBI_MAX_SWEEPS:
+            raise ConvergenceError(sweeps, _offdiagonal_norm(a))
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                mag = abs(a[p, q])
+                if mag == 0.0:
+                    continue
+                phase = a[p, q] / mag
+                tau = (a[q, q].real - a[p, p].real) / (2.0 * mag)
+                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(tau, 1.0))
+                c = 1.0 / math.hypot(t, 1.0)
+                s = t * c
+                _rotate_columns(a, p, q, c, s, phase)
+                _rotate_rows(a, p, q, c, s, phase)
+                _rotate_columns(v, p, q, c, s, phase)
+        sweeps += 1
+    values = np.diag(a).real.copy()
+    order = np.argsort(values, kind="stable")
+    return EigenDecomposition(values[order], np.ascontiguousarray(v[:, order]))
+
+
+@dataclass(frozen=True)
+class ChiralMapReport:
+    """Worst residual of H(C psi) + lambda (C psi) over nonzero eigenpairs."""
+
+    checked: int
+    max_residual: float
+    bound: float
+    ok: bool
+
+
+def chiral_map_check(c, h, tol: float = DEFAULT_TOL, tol_zero: float | None = None) -> ChiralMapReport:
+    """Verify that C maps each eigenvector at +lambda to one at -lambda."""
+    verdict = classify(c, h, tol)
+    if verdict.residual_anticommute >= tol:
+        raise ValueError(
+            "operator does not anticommute with the Hamiltonian "
+            f"(residual {verdict.residual_anticommute:.3e})"
+        )
+    c = linalg.as_matrix(c)
+    h = linalg.as_matrix(h)
+    eig = linalg.hermitian_eigensolve(h)
+    if tol_zero is None:
+        tol_zero = default_pairing_tol(h)
+    bound = 1e-9 * linalg.frobenius(h)
+    worst = 0.0
+    checked = 0
+    for lam, vec in zip(eig.eigenvalues, eig.eigenvectors.T):
+        if abs(lam) <= tol_zero:
+            continue
+        mapped = c @ vec
+        worst = max(worst, float(np.linalg.norm(h @ mapped + lam * mapped)))
+        checked += 1
+    return ChiralMapReport(checked, worst, bound, worst <= bound)
+
+
+@dataclass(frozen=True)
+class OddPowerTraceReport:
+    """(power, trace, allowed bound) rows; all traces vanish iff the spectrum
+    is mirror symmetric."""
+
+    traces: tuple[tuple[int, float, float], ...]
+    all_vanish: bool
+
+
+def trace_oddpower_check(h, max_power: int = 7) -> OddPowerTraceReport:
+    """tr(H^k) for odd k <= max_power, each judged against 1e-9 ||H||_F^k."""
+    h = linalg.require_hermitian(h)
+    hnorm = linalg.frobenius(h)
+    hsq = h @ h
+    power = h
+    rows = []
+    k = 1
+    while k <= max_power:
+        rows.append((k, float(np.trace(power).real), 1e-9 * hnorm**k))
+        power = power @ hsq
+        k += 2
+    ok = all(abs(value) <= bound for _, value, bound in rows)
+    return OddPowerTraceReport(tuple(rows), ok)
+
+
+@dataclass(frozen=True)
+class LadderReport:
+    j: SpinLabel
+    max_residual: float
+    ok: bool
+
+
+def ladder_action_check(label, tol: float = 1e-12) -> LadderReport:
+    """Confirm J+|j,m> = sqrt(j(j+1) - m(m+1)) |j,m+1> column by column,
+    including annihilation of the top (J+) and bottom (J-) states."""
+    ops = build_spin_operators(label)
+    tj = ops.j.twice_j
+    dim = ops.dim
+    worst = 0.0
+    for k in range(dim):
+        expected = np.zeros(dim, dtype=np.complex128)
+        if k > 0:
+            # column k holds m = j - k, so 2m = tj - 2k
+            tm = tj - 2 * k
+            expected[k - 1] = 0.5 * math.sqrt(tj * (tj + 2) - tm * (tm + 2))
+        worst = max(worst, float(np.linalg.norm(ops.jplus[:, k] - expected)))
+    worst = max(worst, float(np.linalg.norm(ops.jminus[:, dim - 1])))
+    return LadderReport(ops.j, worst, worst <= tol)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from chiralspin import linalg
-from chiralspin.angmom import SpinLabel, build_spin_operators, embed, ladder_action_check
+from chiralspin.angmom import SpinLabel, build_spin_operators, embed
+
+from helpers import ladder_action_check
 
 
 def test_label_parsing():

@@ -6,13 +6,11 @@ from chiralspin.angmom import SpinLabel, build_spin_operators
 from chiralspin.charpoly import MAX_POLY_DIM, SolveMethod, full_solve
 from chiralspin.chiral import (
     Symmetry,
-    chiral_map_check,
     classify,
     default_pairing_tol,
     pairing_check,
     search_partners,
     spectral_pairing,
-    trace_oddpower_check,
 )
 from chiralspin.models import (
     CrossedFields,
@@ -26,10 +24,12 @@ from chiralspin.rotations import CompositeRotation, RotationSpec, composite_matr
 from helpers import (
     FAMILIES,
     brute_force_search,
+    chiral_map_check,
     random_chiral_model,
     random_hermitian,
     random_unit_vector,
     spin_chain,
+    trace_oddpower_check,
 )
 
 

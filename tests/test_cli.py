@@ -653,3 +653,67 @@ def test_module_entry_point_smoke():
     )
     assert proc.returncode == 0
     assert "real part:" in proc.stdout
+
+
+GLOBAL_FLAG_COMMANDS = {
+    "ops": ["ops", "--j", "1", "--which", "jx"],
+    "verify": ["verify", "model.json"],
+    "spectrum": ["spectrum", "model.json"],
+    "scan": ["scan", "model.json", "--param", "a", "--from", "0", "--to", "1", "--steps", "3"],
+    "search": ["search", "model.json"],
+    "charpoly": ["charpoly", "model.json"],
+}
+
+
+@pytest.mark.parametrize("command", GLOBAL_FLAG_COMMANDS)
+def test_global_flags_work_before_and_after_the_subcommand(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    write_model(tmp_path, {"model": "crossed_fields", "j": "1", "params": {"a": 1.0, "b": 2.0}})
+    # --tol 1e-20 rejects the true partner, so verify and search exit 1 only
+    # when the flag is read
+    flags = ["--format", "json", "--out", "out.txt", "--tol", "1e-20"]
+    argv = GLOBAL_FLAG_COMMANDS[command]
+    results = []
+    for order in (flags + argv, argv + flags):
+        code, out, err = run_cli(capsys, *order)
+        written = (tmp_path / "out.txt").read_text()
+        os.remove(tmp_path / "out.txt")
+        results.append((code, out, err, written))
+    assert results[0] == results[1]
+    code, out, err, written = results[0]
+    assert code == (1 if command in ("verify", "search") else 0), err
+    if command == "scan":
+        assert json.loads(out)["rows"] == 3
+        assert written.startswith("param,a,lambda_1,")
+    else:
+        assert out == ""
+        json.loads(written)
+
+
+WRONG_TYPES = [None, [1], {"x": 1}, True]
+
+
+@pytest.mark.parametrize("field", ["parameter", "j", "slot"])
+@pytest.mark.parametrize("value", WRONG_TYPES, ids=["null", "list", "object", "boolean"])
+def test_wrongly_typed_json_values_exit_2(tmp_path, capsys, field, value):
+    doc = {"model": "general_field", "j": "1", "params": {"a": 1.0, "b": 1.0, "c": 0.0}}
+    argv = ["verify"]
+    if field == "parameter":
+        doc["params"]["a"] = value
+    elif field == "j":
+        doc["j"] = value
+    else:
+        argv += ["--rotation", json.dumps({"slot": value, "axis": [0, 0, 1], "angle": "pi"})]
+    code, out, err = run_cli(capsys, *argv, write_model(tmp_path, doc))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert repr(value) in err
+
+
+def test_search_model_errors_name_the_file(tmp_path, capsys):
+    path = write_model(tmp_path, {"model": "nope"}, name="bad.json")
+    code, out, err = run_cli(capsys, "search", path)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: unknown model 'nope'; ")
+    assert run_cli(capsys, "verify", path) == (code, out, err)

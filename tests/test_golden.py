@@ -1,6 +1,7 @@
-"""Byte-for-byte outputs of ``verify``, ``scan`` and ``search``, text and
-JSON, on the acceptance fixtures. The files under ``tests/golden/`` are the
-reference: a refactor of the command pipeline must reproduce them exactly.
+"""Byte-for-byte outputs of ``verify``, ``spectrum`` (auto and numeric),
+``charpoly``, ``scan`` and ``search``, text and JSON, on the acceptance
+fixtures. The files under ``tests/golden/`` are the reference: a refactor of
+the command pipeline must reproduce them exactly.
 
 Rewrite them, only when an output change is intended, with
 
@@ -49,6 +50,11 @@ def _commands():
     for fmt in ("text", "json"):
         for name in MODELS:
             cmds.append((f"verify-{name}.{fmt}", ["--format", fmt, "verify", f"{name}.json"], None))
+        for name in MODELS:
+            cmds.append((f"spectrum-{name}.{fmt}", ["--format", fmt, "spectrum", f"{name}.json"], None))
+            cmds.append((f"spectrum_numeric-{name}.{fmt}",
+                         ["--format", fmt, "spectrum", f"{name}.json", "--method", "numeric"], None))
+            cmds.append((f"charpoly-{name}.{fmt}", ["--format", fmt, "charpoly", f"{name}.json"], None))
         cmds.append((f"verify-crossed_fields-wrong.{fmt}",
                      ["--format", fmt, "verify", "crossed_fields.json", "--rotation", WRONG_ROTATION], None))
         for name in [*MODELS, *MATRICES]:
