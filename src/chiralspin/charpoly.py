@@ -1,7 +1,7 @@
-"""Characteristic polynomials via the Faddeev-LeVerrier trace recursion,
-parity reduction to a polynomial in lambda^2, and closed-form (radical) root
+"""Characteristic polynomials by a tridiagonal three-term recurrence, parity
+reduction to a polynomial in lambda^2, and closed-form (radical) root
 extraction up to quartic reduced degree, cross-checked against the numeric
-spectrum from LAPACK, which shares no code with the trace recursion."""
+spectrum from LAPACK, which shares no code with the recurrence."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from enum import Enum
 import numpy as np
 
 from . import linalg
-from .chiral import Symmetry, classify, spectral_pairing
+from .chiral import Symmetry, classify, default_pairing_tol, spectral_pairing
 
 __all__ = [
     "CharPoly",
@@ -30,10 +30,6 @@ __all__ = [
 
 # Coefficients below this fraction of the largest one count as zero.
 ZERO_COEFF_TOL = 1e-10
-
-# Largest dimension whose characteristic polynomial full_solve builds: from dim 14
-# the trace recursion's coefficients miss the tests' tolerance (Wilkinson 1965).
-MAX_POLY_DIM = 13
 
 
 class SpectrumInconsistencyError(ArithmeticError):
@@ -59,33 +55,35 @@ class CharPoly:
 
 
 def characteristic_polynomial(h) -> CharPoly:
-    """Coefficients of det(H - lambda I) from the trace recursion.
+    """Coefficients of det(H - lambda I) from a real three-term recurrence.
 
-    Runs the Faddeev-LeVerrier iteration
-
-        M_k = H M_{k-1} + c_{n-k+1} I,   c_{n-k} = -tr(H M_k) / k
-
-    on the monic polynomial det(lambda I - H), then flips the overall sign
-    for odd dimension. Hermitian input keeps every coefficient real; residual
-    imaginary parts are checked and dropped.
+    Householder reflections reduce H to a tridiagonal T with real diagonal
+    alpha_k and off-diagonal moduli beta_k, the norm of column k below the
+    diagonal (Golub & Van Loan 8.3). The leading minors of T - lambda I obey
+    p_k = (alpha_k - lambda) p_{k-1} - beta_{k-1}^2 p_{k-2}.
     """
-    h = linalg.require_hermitian(h)
-    n = h.shape[0]
-    monic = np.zeros(n + 1, dtype=np.complex128)
-    monic[n] = 1.0
-    m = np.zeros_like(h)
-    eye = linalg.identity(n)
-    for k in range(1, n + 1):
-        m = h @ m + monic[n - k + 1] * eye
-        monic[n - k] = -np.trace(h @ m) / k
-    worst_imag = float(np.max(np.abs(monic.imag)))
-    scale = max(1.0, float(np.max(np.abs(monic.real))))
-    if worst_imag > ZERO_COEFF_TOL * scale:
-        raise SpectrumInconsistencyError(
-            f"characteristic coefficients acquired imaginary parts ({worst_imag:.3e})"
-        )
-    sign = -1.0 if n % 2 else 1.0
-    return CharPoly(tuple(float(sign * c) for c in monic.real))
+    a = linalg.require_hermitian(h)
+    a = (a if a.imag.any() else a.real).copy()  # a real H keeps real reflections
+    prev, poly, beta2 = np.zeros(0), np.ones(1), 0.0
+    for k in range(a.shape[0]):
+        nxt = np.zeros(k + 2)
+        nxt[:-1] = a[k, k].real * poly
+        nxt[1:] -= poly
+        nxt[:-2] -= beta2 * prev
+        prev, poly = poly, nxt
+        x = a[k + 1:, k]
+        beta2, scale = float(np.vdot(x, x).real), float(np.abs(x).max(initial=0.0))
+        if scale >= np.finfo(float).tiny:  # below it, x is zero beside a unit-norm H
+            v = x / scale  # reflect x onto its first axis; ||x / scale|| cannot underflow
+            beta, x0 = math.sqrt(np.vdot(v, v).real), v[0].item()
+            v[0] += (x0 / abs(x0) if x0 else 1.0) * beta
+            v /= math.sqrt(np.vdot(v, v).real)
+            block = a[k + 1:, k + 1:]
+            w = 2.0 * (block @ v)
+            w -= np.vdot(v, w) * v
+            vw = np.array([v, w])
+            block -= vw.T @ vw[::-1].conj()  # v w^H + w v^H
+    return CharPoly(tuple(float(c) for c in poly))
 
 
 @dataclass(frozen=True)
@@ -114,18 +112,12 @@ def parity_reduce(poly: CharPoly, tol: float = ZERO_COEFF_TOL) -> tuple[bool, Re
     return parity_ok, ReducedPoly(mult, tuple(float(c) for c in rest[0::2]))
 
 
-def _cauchy_bound(monic_tail) -> float:
-    """Root magnitude bound 1 + max|c_k| for a monic polynomial tail."""
-    return 1.0 + max((abs(c) for c in monic_tail), default=0.0)
-
-
 def _quadratic_roots(b, c):
-    """Real roots of x^2 + bx + c; tiny negative discriminants snap to a
-    double root, genuinely negative ones return nothing."""
+    """Roots of x^2 + bx + c; a negative discriminant gives the real part
+    of the complex pair twice."""
     disc = b * b - 4.0 * c
-    if disc < -1e-10 * max(1.0, b * b, abs(c)):
-        return []
-    disc = max(disc, 0.0)
+    if disc <= 0.0:
+        return [-b / 2.0] * 2
     root = math.sqrt(disc)
     x1 = (-b - root) / 2.0 if b >= 0.0 else (-b + root) / 2.0
     x2 = c / x1 if x1 != 0.0 else -b - x1
@@ -133,10 +125,10 @@ def _quadratic_roots(b, c):
 
 
 def _cubic_roots(a2, a1, a0):
-    """Real roots of a monic cubic. Three real roots (the only case arising
-    from Hermitian spectra, the casus irreducibilis) use the trigonometric
-    form to avoid complex intermediates; otherwise Cardano gives the single
-    real root."""
+    """Roots of a monic cubic. Three real roots (the casus irreducibilis)
+    use the trigonometric form to avoid complex intermediates; otherwise
+    Cardano gives the real root, and the real part of the complex pair
+    twice."""
     shift = a2 / 3.0
     p = a1 - a2 * a2 / 3.0
     q = 2.0 * a2**3 / 27.0 - a2 * a1 / 3.0 + a0
@@ -154,33 +146,26 @@ def _cubic_roots(a2, a1, a0):
             for k in range(3)
         )
     half = math.sqrt(q * q / 4.0 + p**3 / 27.0)
-    u = np.cbrt(-q / 2.0 + half)
-    v = np.cbrt(-q / 2.0 - half)
-    return [float(u + v) - shift]
+    real = float(np.cbrt(-q / 2.0 + half) + np.cbrt(-q / 2.0 - half))
+    return sorted([real - shift] + [-real / 2.0 - shift] * 2)
 
 
 def _quartic_roots(a3, a2, a1, a0):
-    """Real roots of a monic quartic by resolvent-cubic factorization into
-    two real quadratics (valid for all-real-root inputs)."""
+    """Roots of a monic quartic by resolvent-cubic factorization into two
+    real quadratics, each giving the real part of a complex pair twice."""
     shift = a3 / 4.0
     p = a2 - 3.0 * a3 * a3 / 8.0
     q = a1 - a3 * a2 / 2.0 + a3**3 / 8.0
     r = a0 - a3 * a1 / 4.0 + a3 * a3 * a2 / 16.0 - 3.0 * a3**4 / 256.0
     yscale = max(1.0, abs(p) ** 0.5, abs(q) ** (1.0 / 3.0), abs(r) ** 0.25)
-    if abs(q) <= 1e-12 * yscale**3:
-        # biquadratic: y^2 solves z^2 + p z + r = 0
+    # the resolvent's largest root is positive whenever q is not negligible
+    z = max(_cubic_roots(2.0 * p, p * p - 4.0 * r, -q * q))
+    if abs(q) <= 1e-12 * yscale**3 or z <= 0.0:
+        # biquadratic: y^2 solves w^2 + p w + r = 0
         roots = []
-        for z in _quadratic_roots(p, r):
-            if z < 0.0:
-                if z < -1e-10 * yscale * yscale:
-                    continue
-                z = 0.0
-            roots.extend([-math.sqrt(z), math.sqrt(z)])
+        for w in _quadratic_roots(p, r):
+            roots.extend([-math.sqrt(max(w, 0.0)), math.sqrt(max(w, 0.0))])
         return sorted(y - shift for y in roots)
-    zroots = _cubic_roots(2.0 * p, p * p - 4.0 * r, -q * q)
-    z = max(zroots)
-    if z <= 0.0:
-        return []  # pairs of complex roots; cannot factor over the reals
     k = math.sqrt(z)
     s = (p + z - q / k) / 2.0
     t = (p + z + q / k) / 2.0
@@ -189,12 +174,13 @@ def _quartic_roots(a3, a2, a1, a0):
 
 
 def real_roots_closed_form(coeffs) -> list[float]:
-    """All real roots (with multiplicity, ascending) of a polynomial of
-    degree <= 4, by radical formulas.
+    """All roots (with multiplicity, ascending) of a polynomial of degree
+    <= 4, by radical formulas.
 
     Intended for polynomials whose roots are known to be real (characteristic
-    polynomials of Hermitian matrices); complex pairs arising from other
-    inputs are simply not returned, so callers detect them by a short count.
+    polynomials of Hermitian matrices). Round-off can split a multiple root
+    into complex pairs; each pair comes back as its real part twice, which
+    keeps the sum of the roots, and so the mean of a cluster, exact.
     """
     coeffs = [float(c) for c in coeffs]
     if not coeffs or coeffs[-1] == 0.0:
@@ -215,26 +201,20 @@ def real_roots_closed_form(coeffs) -> list[float]:
     return _quartic_roots(monic[3], monic[2], monic[1], monic[0])
 
 
-def solve_reduced(reduced: ReducedPoly, clamp: float | None = None) -> tuple[float, ...]:
+def solve_reduced(reduced: ReducedPoly) -> tuple[float, ...]:
     """Eigenvalues +-sqrt(mu) from the even-polynomial roots, plus the
     factored zeros, sorted ascending.
 
-    mu roots slightly below zero (within ``clamp``, default 1e-9 of the root
-    magnitude bound) are round-off from the coefficient recursion and snap to
-    zero; anything more negative is impossible for Hermitian input and
-    raises.
+    mu roots slightly below zero (within 1e-9 of the root magnitude bound)
+    are round-off in the coefficients and snap to zero; anything more
+    negative is impossible for Hermitian input and raises.
     """
     degree = len(reduced.mu_coeffs) - 1
     if degree > 4:
         raise ValueError(f"reduced degree {degree} has no radical solution")
     mu_roots = real_roots_closed_form(reduced.mu_coeffs)
-    if len(mu_roots) < degree:
-        raise SpectrumInconsistencyError(
-            f"{degree - len(mu_roots)} non-real root(s) in the reduced polynomial"
-        )
-    if clamp is None:
-        lead = reduced.mu_coeffs[-1]
-        clamp = 1e-9 * _cauchy_bound([c / lead for c in reduced.mu_coeffs[:-1]])
+    lead = reduced.mu_coeffs[-1]  # 1 + max |c_k / lead| bounds every |mu| (Cauchy)
+    clamp = 1e-9 * (1.0 + max((abs(c / lead) for c in reduced.mu_coeffs[:-1]), default=0.0))
     values = [0.0] * reduced.zero_root_multiplicity
     for mu in mu_roots:
         if mu < -clamp:
@@ -266,7 +246,7 @@ def classify_solvability(dim: int, chiral: bool) -> SolveMethod:
 class PolySolveReport:
     """Everything the polynomial pipeline produced for one Hamiltonian."""
 
-    charpoly: CharPoly | None  # None above MAX_POLY_DIM
+    charpoly: CharPoly | None  # None when its coefficients could overflow
     parity_ok: bool
     zero_root_multiplicity: int
     reduced: ReducedPoly | None
@@ -276,17 +256,30 @@ class PolySolveReport:
     max_root_deviation: float | None
 
 
+def _cluster_means(values, numeric, tol) -> list[float]:
+    """Each value replaced by the mean over its cluster: a run of the
+    ascending numeric spectrum whose neighbours differ by less than tol.
+    Runs chain, so m values spaced just under tol move by up to (m-1)/2 tol;
+    splitting such a run instead leaves the closed forms of a near-multiple
+    root split by up to the m-th root of the coefficient error."""
+    cuts = [0, *(i for i in range(1, len(numeric)) if numeric[i] - numeric[i - 1] >= tol), len(numeric)]
+    return [math.fsum(values[a:b]) / (b - a) for a, b in zip(cuts, cuts[1:]) for _ in range(a, b)]
+
+
 def full_solve(h, partner=None) -> PolySolveReport:
-    """Numeric spectrum and its mirror pairing, the solution route, and up to
-    MAX_POLY_DIM the characteristic polynomial, with closed-form roots and
-    their worst sorted deviation from the numeric ones on the radicals route.
+    """Numeric spectrum and its mirror pairing, the solution route, the
+    characteristic polynomial, and on the radicals route closed-form roots
+    with their worst sorted deviation from the numeric ones.
 
     Parity and the zero-root count are ``spectral_pairing``'s, the rule of
     ``verify`` and ``scan``; the route is ``classify_solvability`` of the
-    degree, halved after the zero roots when paired. The polynomial is one
-    trace recursion on H/s, s = ||H||_F, with coefficient k rescaled by
-    s^(n-k); roots are found on it and rescaled by s. Normalizing keeps the
-    recursion's round-off uniform. Above MAX_POLY_DIM the route is numeric_only.
+    degree, halved after the zero roots when paired. The polynomial is built
+    on H / 2^e, 2^e nearest ||H||_F, with coefficient k rescaled exactly by
+    2^(e(n-k)); as |c_k| <= prod(1 + |lambda_i|), nothing is built, and the
+    route is numeric_only, when that product leaves the double range. A root
+    of multiplicity m moves by the m-th root of the coefficient error but the
+    mean of its cluster in the numeric spectrum only by that error, so each
+    closed form, in mu = lambda^2 when paired, is its cluster's mean.
 
     When ``partner`` is supplied and anticommutes with H the spectrum must
     come out paired; a violation indicates corrupt input and raises.
@@ -300,7 +293,8 @@ def full_solve(h, partner=None) -> PolySolveReport:
             raise SpectrumInconsistencyError(
                 "anticommuting partner supplied but the spectrum is not mirror-paired"
             )
-    if n > MAX_POLY_DIM:
+    fits = math.fsum(np.log1p(np.abs(eigenvalues))) <= math.log(np.finfo(float).max)
+    if not fits:
         method = SolveMethod.NUMERIC_ONLY
     elif parity_ok:
         # H = 0 leaves no nonzero root, which radicals solve trivially
@@ -308,17 +302,20 @@ def full_solve(h, partner=None) -> PolySolveReport:
     else:
         method = classify_solvability(n, chiral=False)
     poly = reduced = closed = deviation = None
-    if n <= MAX_POLY_DIM:
-        scale = linalg.frobenius(h) or 1.0
-        scaled = characteristic_polynomial(h / scale).coeffs
-        poly = CharPoly(tuple(c * scale ** (n - k) for k, c in enumerate(scaled)))
-        if parity_ok:
-            reduced = ReducedPoly(zeros, poly.coeffs[zeros::2])
+    if fits:
+        norm = math.hypot(*numeric)  # ||H||_F, free of overflow and underflow
+        e = round(math.log2(norm)) if norm else 0
+        scaled = characteristic_polynomial(np.ldexp(h.real, -e) + 1j * np.ldexp(h.imag, -e)).coeffs
+        poly = CharPoly(tuple(math.ldexp(c, e * (n - k)) for k, c in enumerate(scaled)))
+        reduced = ReducedPoly(zeros, poly.coeffs[zeros::2]) if parity_ok else None
     if method is SolveMethod.RADICALS:
-        roots = (solve_reduced(ReducedPoly(zeros, scaled[zeros::2])) if parity_ok
-                 else real_roots_closed_form(scaled))
-        if len(roots) < n:
-            raise SpectrumInconsistencyError("complex eigenvalues computed for a Hermitian matrix")
-        closed = tuple(scale * x for x in roots)
+        tol = default_pairing_tol(h)
+        if parity_ok:
+            roots = solve_reduced(ReducedPoly(zeros, scaled[zeros::2]))
+            mus = _cluster_means([x * x for x in roots], numeric, tol)
+            roots = [math.copysign(math.sqrt(mu), x) for mu, x in zip(mus, roots)]
+        else:
+            roots = _cluster_means(real_roots_closed_form(scaled), numeric, tol)
+        closed = tuple(math.ldexp(x, e) for x in roots)
         deviation = max((abs(c - x) for c, x in zip(closed, numeric)), default=0.0)
     return PolySolveReport(poly, parity_ok, zeros, reduced, method, closed, numeric, deviation)

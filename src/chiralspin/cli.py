@@ -226,7 +226,7 @@ def _spectrum_lines(tag, built, report, closed_phys, numeric_phys) -> list[str]:
 def cmd_spectrum(args) -> int:
     built, tag, shifted = _prepare(models.load_model_file(args.model_file))
     if args.method == "numeric":
-        numeric = linalg.hermitian_eigensolve(built.hamiltonian).eigenvalues
+        numeric = chiral.spectral_pairing(shifted)[0] + built.shift
         lines = [
             f"model: {tag} (dim {built.hamiltonian.shape[0]})",
             "method: numeric_only (requested)",
@@ -337,6 +337,12 @@ def _is_positive_integer(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
+def _entry_part(value) -> float:
+    if isinstance(value, bool):
+        raise TypeError("boolean matrix entry")
+    return float(value)
+
+
 def _matrix_from_doc(doc, origin):
     unknown = set(doc) - {"dims", "entries"}
     if unknown:
@@ -350,9 +356,9 @@ def _matrix_from_doc(doc, origin):
     if not isinstance(entries, list) or len(entries) != n * n:
         raise ValueError(f"{origin}: expected {n * n} [re, im] entries")
     try:
-        flat = np.array([complex(float(re), float(im)) for re, im in entries])
+        flat = np.array([complex(_entry_part(re), _entry_part(im)) for re, im in entries])
     except (TypeError, ValueError):
-        raise ValueError(f"{origin}: entries must be [re, im] pairs") from None
+        raise ValueError(f"{origin}: entries must be [re, im] pairs of numbers") from None
     h = linalg.require_hermitian(flat.reshape(n, n), f"{origin}: matrix")
     return h, dims
 
@@ -399,8 +405,8 @@ def cmd_charpoly(args) -> int:
     report = charpoly.full_solve(shifted)
     poly, reduced = report.charpoly, report.reduced
     if poly is None:
-        print(f"characteristic polynomial unavailable for dim {shifted.shape[0]}: above "
-              f"MAX_POLY_DIM = {charpoly.MAX_POLY_DIM} its coefficients lose accuracy", file=sys.stderr)
+        print(f"characteristic polynomial unavailable for dim {shifted.shape[0]}: "
+              "prod(1 + |lambda|) bounds its coefficients and exceeds the double range", file=sys.stderr)
         return 1
     lines = [
         f"model: {tag} (dim {poly.dim}, shift {_fmt(built.shift)})",

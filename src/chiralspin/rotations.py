@@ -65,10 +65,13 @@ def parse_angle(value) -> float:
 
 
 def unit_axis(vec) -> tuple[float, float, float]:
-    """Validate a rotation axis; near-unit input is silently renormalized."""
-    v = np.asarray(vec, dtype=float).reshape(-1)
-    if v.shape != (3,) or not np.all(np.isfinite(v)):
+    """Validate a rotation axis of three real numbers (booleans are not
+    numbers here); near-unit input is silently renormalized."""
+    parts = list(vec) if isinstance(vec, (list, tuple, np.ndarray)) else []
+    if len(parts) != 3 or not all(isinstance(x, numbers.Real) and not isinstance(x, bool)
+                                  and math.isfinite(x) for x in parts):
         raise ValueError(f"axis must be a finite 3-vector, got {vec!r}")
+    v = np.array(parts, dtype=float)
     norm = float(np.linalg.norm(v))
     if abs(norm - 1.0) > AXIS_NORM_SLACK:
         raise ValueError(f"axis must have unit length, got |n| = {norm:.8g}")

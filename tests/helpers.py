@@ -1,7 +1,8 @@
 """Shared test utilities: seeded random matrices and model draws, and the
 reference code the package is checked against: the brute-force partner
-search, the Jacobi eigensolver, and the eigenvector-map, odd-power-trace and
-ladder-action checks of the paper's identities. No command calls these."""
+search, the Jacobi eigensolver, the Faddeev-LeVerrier characteristic
+polynomial, and the eigenvector-map, odd-power-trace and ladder-action checks
+of the paper's identities. No command calls these."""
 
 import dataclasses
 import itertools
@@ -13,6 +14,7 @@ import numpy as np
 
 from chiralspin import linalg
 from chiralspin.angmom import SpinLabel, build_spin_operators, embed
+from chiralspin.charpoly import ZERO_COEFF_TOL, CharPoly, SpectrumInconsistencyError
 from chiralspin.chiral import (
     DEFAULT_SEARCH_ANGLES,
     DEFAULT_SEARCH_AXES,
@@ -265,6 +267,40 @@ def jacobi_eigensolve(h) -> EigenDecomposition:
     values = np.diag(a).real.copy()
     order = np.argsort(values, kind="stable")
     return EigenDecomposition(values[order], np.ascontiguousarray(v[:, order]))
+
+
+def faddeev_leverrier_charpoly(h) -> CharPoly:
+    """Coefficients of det(H - lambda I) from the trace recursion.
+
+    Runs the Faddeev-LeVerrier iteration
+
+        M_k = H M_{k-1} + c_{n-k+1} I,   c_{n-k} = -tr(H M_k) / k
+
+    on the monic polynomial det(lambda I - H), then flips the overall sign
+    for odd dimension. Hermitian input keeps every coefficient real; residual
+    imaginary parts are checked and dropped.
+
+    This is the reference method: it shares no code with the tridiagonal
+    recurrence in ``charpoly.characteristic_polynomial``. It loses its
+    coefficients from dim 14 (Wilkinson 1965), so compare only below that.
+    """
+    h = require_hermitian(h)
+    n = h.shape[0]
+    monic = np.zeros(n + 1, dtype=np.complex128)
+    monic[n] = 1.0
+    m = np.zeros_like(h)
+    eye = identity(n)
+    for k in range(1, n + 1):
+        m = h @ m + monic[n - k + 1] * eye
+        monic[n - k] = -np.trace(h @ m) / k
+    worst_imag = float(np.max(np.abs(monic.imag)))
+    scale = max(1.0, float(np.max(np.abs(monic.real))))
+    if worst_imag > ZERO_COEFF_TOL * scale:
+        raise SpectrumInconsistencyError(
+            f"characteristic coefficients acquired imaginary parts ({worst_imag:.3e})"
+        )
+    sign = -1.0 if n % 2 else 1.0
+    return CharPoly(tuple(float(sign * c) for c in monic.real))
 
 
 @dataclass(frozen=True)

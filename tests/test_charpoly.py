@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -6,7 +8,6 @@ import pytest
 from chiralspin import charpoly, chiral, linalg, models
 from chiralspin.angmom import SpinLabel, build_spin_operators
 from chiralspin.charpoly import (
-    MAX_POLY_DIM,
     CharPoly,
     ReducedPoly,
     SolveMethod,
@@ -24,6 +25,7 @@ from chiralspin.rotations import composite_matrix
 from helpers import (
     FAMILIES,
     chiral_model_at_dim,
+    faddeev_leverrier_charpoly,
     random_chiral_model,
     random_hermitian,
     reference_charpoly,
@@ -45,6 +47,27 @@ def test_charpoly_zero_matrix():
 def test_charpoly_jz_j1():
     poly = characteristic_polynomial(build_spin_operators("1").jz)
     assert np.allclose(poly.coeffs, (0.0, 1.0, 0.0, -1.0), atol=1e-14)
+
+
+def test_tridiagonal_recurrence_matches_trace_recursion(rng):
+    # the trace-recursion oracle holds its coefficients to tolerance up to dim 13
+    for dim in range(1, 14):
+        for scale in (1e-3, 1.0, 1e3):
+            h = random_hermitian(rng, dim)
+            h *= scale / linalg.frobenius(h)
+            _, tol = reference_charpoly(np.linalg.eigvalsh(h))
+            got = np.array(characteristic_polynomial(h).coeffs)
+            assert np.all(np.abs(got - faddeev_leverrier_charpoly(h).coeffs) <= tol), (dim, scale)
+
+
+@pytest.mark.parametrize("h, coeffs", [
+    # ||x||^2 = 2e-316 is subnormal; a reflector scaled by it overflowed
+    ([[1.0, 1e-158, 1e-158j], [1e-158, 0.5, 0.0], [-1e-158j, 0.0, -1.0]], (-0.5, 1.0, 0.5, -1.0)),
+    # max |x| = 1e-320 is subnormal, and numpy divides complex by its reciprocal
+    ([[1.0, 1e-320j, 1e-320], [-1e-320j, 0.5, 0.5j], [1e-320, -0.5j, -1.0]], (-0.75, 1.25, 0.5, -1.0)),
+])
+def test_charpoly_column_of_subnormal_norm(h, coeffs):
+    assert characteristic_polynomial(np.array(h)).coeffs == pytest.approx(coeffs, abs=1e-15)
 
 
 def test_charpoly_rejects_non_hermitian():
@@ -180,6 +203,25 @@ def test_closed_form_roots_with_multiplicity():
     assert np.allclose(got, [-2.0, 1.0, 1.0], atol=1e-6)
 
 
+@pytest.mark.parametrize("roots", [
+    [1.0, 1.0], [-2.0, 1.0, 1.0], [0.5, 0.5, 0.5], [0.3, 0.3, 0.3, 0.3], [-1.0, -1.0, 2.0, 2.0],
+])
+def test_closed_form_split_multiple_roots_keep_their_mean(roots):
+    # a relative coefficient error of 1e-12 splits a root of multiplicity m
+    # by about 1e-12^(1/m), often into complex pairs; their real parts keep
+    # the sum of the roots exact
+    coeffs = np.poly(roots)[::-1] * (1.0 + 1e-12 * np.arange(1, len(roots) + 2))
+    got = real_roots_closed_form(coeffs)
+    assert len(got) == len(roots)
+    assert sum(got) == pytest.approx(-coeffs[-2] / coeffs[-1], abs=1e-12)
+    assert np.allclose(got, roots, atol=1e-2)
+
+
+def test_closed_form_complex_pair_gives_its_real_part():
+    assert real_roots_closed_form([1.0, 0.0, 1.0]) == [0.0, 0.0]
+    assert real_roots_closed_form([5.0, -2.0, 1.0]) == [1.0, 1.0]
+
+
 def test_classify_solvability_table():
     assert classify_solvability(6, chiral=True) is SolveMethod.RADICALS
     assert classify_solvability(3, chiral=True) is SolveMethod.RADICALS
@@ -266,15 +308,17 @@ def test_root_set_equivalence_across_chiral_models(rng):
         assert report.max_root_deviation < 1e-8 * max(1.0, linalg.frobenius(shifted))
 
 
-def test_max_poly_dim_keeps_coefficients_within_tolerance():
-    # the benchmark checks coefficients up to dim 13; measured worst shares of
-    # the tolerance: ~2.5% at dims 12-13, over 100% at dim 14
-    assert MAX_POLY_DIM >= 13
+COEFFICIENT_DIMS = (*range(1, 62), 81, 121)
+
+
+def test_coefficients_within_tolerance_at_every_size():
+    # measured worst share of the tolerance on these draws: below 1% at
+    # every dim; the trace recursion this replaced was past 100% at dim 14
     rng = np.random.default_rng(1313)
     worst = 0.0
-    for dim in range(1, MAX_POLY_DIM + 1):
+    for dim in COEFFICIENT_DIMS:
         for family in FAMILIES:
-            for _ in range(10):
+            for _ in range(10 if dim <= 13 else 2):
                 spec = chiral_model_at_dim(rng, family, dim)
                 if spec is None:
                     continue
@@ -286,9 +330,93 @@ def test_max_poly_dim_keeps_coefficients_within_tolerance():
                 # default pairing tolerance, the rule verify and scan use
                 assert report.parity_ok == bool(np.all(np.abs(eigs + eigs[::-1]) < tol))
                 assert report.zero_root_multiplicity == int(np.sum(np.abs(eigs) < tol))
+                if math.fsum(np.log1p(np.abs(eigs))) > math.log(sys.float_info.max):
+                    # prod(1 + |lambda|) leaves the double range: rotors from dim 121
+                    assert report.charpoly is None
+                    continue
                 want, coeff_tol = reference_charpoly(eigs)
                 worst = max(worst, float(np.max(np.abs(np.array(report.charpoly.coeffs) - want) / coeff_tol)))
-    assert worst < 0.1
+    assert worst < 0.01
+
+
+def test_closed_forms_on_kramers_degenerate_rotors():
+    # half-integer rotors have doubly degenerate spectra, so every mu root
+    # is double; the trace recursion's roots missed 1e-9 on 71 of these
+    rng = np.random.default_rng(450)
+    for twice_j in (3, 5, 7):
+        for _ in range(150):
+            spec = dataclasses.replace(random_chiral_model(rng, "triaxial_rotor"), j=SpinLabel(twice_j))
+            shifted = models.shifted_hamiltonian(models.build(spec))
+            report = full_solve(shifted)
+            assert report.method is SolveMethod.RADICALS
+            closed = np.array(report.closed_form_eigenvalues)
+            scale = max(1.0, linalg.frobenius(shifted))
+            assert np.max(np.abs(closed - np.linalg.eigvalsh(shifted))) <= 1e-9 * scale, spec
+
+
+def _paired_spectrum_draw(seed):
+    """(H, ascending spectrum): +-|lambda| pairs with repeated magnitudes and
+    zero modes at dims 1-13, of norm 1e-6 to 1e6, in a random unitary frame."""
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(1, 14))
+    zeros = dim % 2
+    if rng.random() < 0.3:
+        zeros += 2 * int(rng.integers(0, dim // 2 + 1))
+    pairs = (dim - zeros) // 2
+    distinct = rng.uniform(0.1, 1.0, size=int(rng.integers(1, max(1, pairs) + 1)))
+    mags = rng.choice(distinct, size=pairs)
+    spectrum = np.sort(np.concatenate([mags, -mags, np.zeros(zeros)])) * 10.0 ** rng.uniform(-6, 6)
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    u = q * (np.diag(r) / np.abs(np.diag(r)))
+    h = (u * spectrum) @ u.conj().T
+    return 0.5 * (h + h.conj().T), spectrum
+
+
+def test_closed_form_fuzz_on_repeated_magnitudes():
+    # with the trace recursion and no cluster means, 218 of these 3,000
+    # missed 1e-9 max(1, ||H||_F), were wrong or raised
+    misses = {}
+    for seed in range(3000):
+        h, spectrum = _paired_spectrum_draw(seed)
+        closed = full_solve(h).closed_form_eigenvalues
+        if closed is not None:
+            dev = float(np.max(np.abs(np.array(closed) - spectrum))) / max(1.0, linalg.frobenius(h))
+            if dev > 1e-9:
+                misses[seed] = dev
+    assert misses == {}
+
+
+@pytest.mark.parametrize("norm", [1e-6, 1.0, 1e3])
+def test_closed_forms_on_a_chain_of_eigenvalues_spaced_under_tol(norm, rng):
+    # four eigenvalues 0.9 tol apart form one cluster, whose mean moves the
+    # outer two by 1.35 tol; cutting the chain at a span of tol instead gave
+    # 0.45 tol at norm 1e-6 but up to 7 tol at 1e3 and 4e4 tol at unit norm
+    # in five random frames, as the closed forms of so close a quartet split
+    tol = 1e-9 * max(1.0, norm)
+    spec = 0.5 * norm + 0.9 * tol * np.arange(4)
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    h = (q * spec) @ q.conj().T
+    report = full_solve(0.5 * (h + h.conj().T))
+    assert report.method is SolveMethod.RADICALS
+    assert np.max(np.abs(np.array(report.closed_form_eigenvalues) - spec)) <= 1.5 * tol
+
+
+def test_polynomial_is_none_only_above_the_coefficient_bound():
+    # prod(1 + |lambda|) ~ 1e320 here: no coefficient is built, so no route
+    # to radicals either
+    huge = 1e80 * np.diag([1.0, -1.0, 2.0, -2.0])
+    report = full_solve(huge)
+    assert report.charpoly is None and report.reduced is None
+    assert report.method is SolveMethod.NUMERIC_ONLY and report.closed_form_eigenvalues is None
+    # ~1e300 still fits, and the exact power-of-two rescale keeps it finite
+    report = full_solve(1e75 * np.diag([1.0, -1.0, 2.0, -2.0]))
+    assert report.charpoly.coeffs[0] == pytest.approx(4e300, rel=1e-12)
+    assert report.method is SolveMethod.RADICALS
+    # an H of subnormal entries is scaled up by 2^1029 without overflow;
+    # its coefficients below the leading one underflow to zero
+    report = full_solve(1e-310 * build_spin_operators("1").jz)
+    assert report.charpoly.coeffs == (0.0, 0.0, 0.0, -1.0)
+    assert report.closed_form_eigenvalues == (0.0,) * 3
 
 
 def test_full_solve_builds_at_most_one_polynomial(monkeypatch, rng):
@@ -304,7 +432,8 @@ def test_full_solve_builds_at_most_one_polynomial(monkeypatch, rng):
         (3.0 * random_hermitian(rng, 6), 1),
         (models.build(GeneralField("5/2", 1.0, 2.0, 0.5)).hamiltonian, 1),
         (np.zeros((4, 4)), 1),
-        (random_hermitian(rng, MAX_POLY_DIM + 1), 0),
+        (random_hermitian(rng, 14), 1),
+        (1e100 * random_hermitian(rng, 4), 0),
     ):
         calls.clear()
         full_solve(h)

@@ -3,7 +3,7 @@ import pytest
 
 from chiralspin import chiral, linalg, models
 from chiralspin.angmom import SpinLabel, build_spin_operators
-from chiralspin.charpoly import MAX_POLY_DIM, SolveMethod, full_solve
+from chiralspin.charpoly import SolveMethod, full_solve
 from chiralspin.chiral import (
     Symmetry,
     classify,
@@ -412,7 +412,7 @@ def _assert_chiral_identities(c, h):
     rotated, so C's two eigenspaces differ in size by dim mod 2 and H maps
     each into the other), the eigenvector map C: lambda -> -lambda, and
     through ``full_solve`` the same pairing, an even characteristic
-    polynomial up to MAX_POLY_DIM and closed forms on the radicals route."""
+    polynomial and closed forms on the radicals route."""
     dim = h.shape[0]
     eig = linalg.hermitian_eigensolve(h)
     tol = default_pairing_tol(h)
@@ -426,9 +426,6 @@ def _assert_chiral_identities(c, h):
     solved = full_solve(h, partner=c)
     assert solved.parity_ok, dim
     assert solved.zero_root_multiplicity == dim % 2, dim
-    if dim > MAX_POLY_DIM:
-        assert solved.charpoly is None and solved.method is SolveMethod.NUMERIC_ONLY
-        return
     coeffs = np.array(solved.charpoly.coeffs)
     assert np.max(np.abs(coeffs[dim % 2 + 1::2])) <= 1e-10 * np.max(np.abs(coeffs)), dim
     assert solved.reduced.mu_coeffs == tuple(coeffs[dim % 2::2])

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from chiralspin import cli, models
-from chiralspin.charpoly import MAX_POLY_DIM
 from chiralspin.chiral import default_pairing_tol
 
 from helpers import FAMILIES, chiral_model_at_dim, reference_charpoly, write_model
@@ -400,6 +399,17 @@ def test_search_rejects_non_hermitian_matrix(tmp_path, capsys):
     assert "Hermitian" in err
 
 
+@pytest.mark.parametrize("entry", [[True, 0.0], [0.0, False], [None, 0.0], ["x", 0.0], [0.5]])
+def test_search_rejects_non_numeric_matrix_entries(tmp_path, capsys, entry):
+    # 2 Jx at j=1/2 with one off-diagonal entry replaced
+    entries = [[0.0, 0.0], entry, [1.0, 0.0], [0.0, 0.0]]
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps({"dims": [2], "entries": entries}))
+    code, out, err = run_cli(capsys, "search", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: entries must be [re, im] pairs of numbers\n"
+
+
 def test_search_rejects_unrecognized_document(tmp_path, capsys):
     path = tmp_path / "odd.json"
     path.write_text(json.dumps({"foo": 1}))
@@ -537,8 +547,9 @@ def _spectrum_and_charpoly(capsys, path):
 
 
 # Inputs where a cut on small polynomial coefficients would take tiny +-
-# pairs for zero roots (rotors, coupled spins), and dim 21, where the trace
-# recursion's coefficients turn complex
+# pairs for zero roots (rotors, coupled spins), dim 21, where a trace
+# recursion's coefficients turn complex, and couplings 1e-158 of the norm,
+# whose squared column norm is subnormal in a Householder reflector
 SOLVE_REPROS = [
     pytest.param({"model": "triaxial_rotor", "j": "7/2", "params": {
         "ix": 2.6408270015621857, "iy": 2.4431396216292955, "iz": 2.5381398264707147}},
@@ -552,6 +563,10 @@ SOLVE_REPROS = [
         "A": 0.36909993077075426, "B": 0.3957483897191038}}, "numeric_only", id="toy-1/2-5/2"),
     pytest.param({"model": "general_field", "j": "10", "params": {"a": 0.7, "b": -1.3, "c": 0.4}},
                  "numeric_only", id="general-10"),
+    pytest.param({"model": "general_field", "j": "1", "params": {"a": 1e-158, "b": 0.0, "c": 1.0}},
+                 "radicals", id="general-1-tiny-a"),
+    pytest.param({"model": "general_field", "j": "5/2", "params": {"a": 1e-158, "b": 0.0, "c": 1.0}},
+                 "radicals", id="general-5/2-tiny-a"),
 ]
 
 
@@ -565,12 +580,6 @@ def test_solve_path_regressions(tmp_path, capsys, doc, method):
     if method == "radicals":
         closed = np.array(spectrum["eigenvalues_closed_form"]) - spectrum["shift"]
         assert np.max(np.abs(closed - eigs)) <= 1e-9 * max(1.0, hnorm)
-    if len(eigs) > MAX_POLY_DIM:
-        assert spectrum["charpoly_shifted"] is None
-        assert code == 1 and out == ""
-        assert err == (f"characteristic polynomial unavailable for dim {len(eigs)}: "
-                       f"above MAX_POLY_DIM = {MAX_POLY_DIM} its coefficients lose accuracy\n")
-        return
     assert code == 0, err
     poly = json.loads(out)
     assert (poly["parity_ok"], poly["zero_root_multiplicity"]) == (paired, zeros)
@@ -580,23 +589,41 @@ def test_solve_path_regressions(tmp_path, capsys, doc, method):
 
 @pytest.mark.parametrize("twice_j", [21, 30, 60])
 def test_large_dims_solve_cleanly(tmp_path, capsys, twice_j):
-    path = write_model(tmp_path, {"model": "general_field", "j": f"{twice_j}/2",
-                                  "params": {"a": 0.7, "b": -1.3, "c": 0.4}})
-    dim = twice_j + 1
+    doc = {"model": "general_field", "j": f"{twice_j}/2", "params": {"a": 0.7, "b": -1.3, "c": 0.4}}
+    path = write_model(tmp_path, doc)
+    eigs, _, _, zeros = _eigvalsh_rule(doc)
     spectrum, code, out, err = _spectrum_and_charpoly(capsys, path)
-    assert spectrum["dim"] == dim and spectrum["method"] == "numeric_only"
-    assert spectrum["charpoly_shifted"] is None and spectrum["eigenvalues_closed_form"] is None
+    assert spectrum["dim"] == twice_j + 1 and spectrum["method"] == "numeric_only"
+    assert spectrum["eigenvalues_closed_form"] is None
     assert spectrum["parity_ok"] is True
-    assert code == 1 and out == ""
-    assert err.startswith(f"characteristic polynomial unavailable for dim {dim}: ") and err.count("\n") == 1
+    assert (code, err) == (0, "")
+    poly = json.loads(out)
+    assert poly["coefficients"] == spectrum["charpoly_shifted"]
+    assert (poly["parity_ok"], poly["zero_root_multiplicity"]) == (True, zeros)
+    want, tol = reference_charpoly(eigs)
+    assert np.all(np.abs(np.array(poly["coefficients"]) - want) <= tol)
     code, out, err = run_cli(capsys, "--format", "json", "verify", path)
     assert code == 0 and err == ""
     assert json.loads(out)["verified"] is True
 
 
+def test_charpoly_above_the_coefficient_bound_exits_1(tmp_path, capsys):
+    # at dim 201 prod(1 + |lambda|) exceeds the double range
+    path = write_model(tmp_path, {"model": "general_field", "j": "100",
+                                  "params": {"a": 0.7, "b": -1.3, "c": 0.4}})
+    spectrum, code, out, err = _spectrum_and_charpoly(capsys, path)
+    assert spectrum["dim"] == 201 and spectrum["method"] == "numeric_only"
+    assert spectrum["charpoly_shifted"] is None
+    assert code == 1 and out == ""
+    assert err == ("characteristic polynomial unavailable for dim 201: prod(1 + |lambda|) "
+                   "bounds its coefficients and exceeds the double range\n")
+    code, out, _ = run_cli(capsys, "--format", "json", "spectrum", path)
+    assert "Infinity" not in out and "NaN" not in out
+
+
 def test_spectrum_and_charpoly_agree_with_eigvalsh_rule(tmp_path, capsys):
     rng = np.random.default_rng(2024)
-    for dim in range(1, MAX_POLY_DIM + 1):
+    for dim in (*range(1, 14), 21, 41):
         for family in FAMILIES:
             spec = chiral_model_at_dim(rng, family, dim)
             if spec is None:
@@ -693,7 +720,7 @@ def test_global_flags_work_before_and_after_the_subcommand(tmp_path, capsys, mon
 WRONG_TYPES = [None, [1], {"x": 1}, True]
 
 
-@pytest.mark.parametrize("field", ["parameter", "j", "slot"])
+@pytest.mark.parametrize("field", ["parameter", "j", "slot", "axis"])
 @pytest.mark.parametrize("value", WRONG_TYPES, ids=["null", "list", "object", "boolean"])
 def test_wrongly_typed_json_values_exit_2(tmp_path, capsys, field, value):
     doc = {"model": "general_field", "j": "1", "params": {"a": 1.0, "b": 1.0, "c": 0.0}}
@@ -702,8 +729,10 @@ def test_wrongly_typed_json_values_exit_2(tmp_path, capsys, field, value):
         doc["params"]["a"] = value
     elif field == "j":
         doc["j"] = value
-    else:
+    elif field == "slot":
         argv += ["--rotation", json.dumps({"slot": value, "axis": [0, 0, 1], "angle": "pi"})]
+    else:
+        argv += ["--rotation", json.dumps({"axis": [0, 0, value], "angle": "pi"})]
     code, out, err = run_cli(capsys, *argv, write_model(tmp_path, doc))
     assert code == 2
     assert out == ""
@@ -717,3 +746,4 @@ def test_search_model_errors_name_the_file(tmp_path, capsys):
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {path}: unknown model 'nope'; ")
     assert run_cli(capsys, "verify", path) == (code, out, err)
+

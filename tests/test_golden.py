@@ -6,12 +6,18 @@ the command pipeline must reproduce them exactly.
 Rewrite them, only when an output change is intended, with
 
     PYTHONPATH=src python tests/test_golden.py
+
+which prints one line per file it changes: the largest relative change of
+each numeric key (JSON key path, or "text" for other output), and a flag for
+any change to the exit code, stderr, the JSON keys, a non-numeric value or
+the text around the numbers.
 """
 
 import contextlib
 import io
 import json
 import os
+import re
 import tempfile
 from pathlib import Path
 
@@ -89,15 +95,86 @@ def test_output_matches_golden(tmp_path, monkeypatch, name, argv, csv):
         assert (tmp_path / csv).read_bytes() == (GOLDEN / csv).read_bytes()
 
 
+@pytest.mark.parametrize("name", MODELS)
+def test_spectrum_methods_share_the_numeric_spectrum(tmp_path, monkeypatch, name):
+    _write_fixtures(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    printed = [json.loads(_run(["--format", "json", "spectrum", f"{name}.json", *method])
+                          .split("--- stdout\n")[1].split("--- stderr\n")[0])["eigenvalues_numeric"]
+               for method in ([], ["--method", "numeric"])]
+    assert printed[0] == printed[1]
+
+
+NUMBER = re.compile(r"-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _leaves(doc, path="", found=None):
+    """{key path: leaf values in document order} of a JSON value, with list
+    indices dropped."""
+    found = {} if found is None else found
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            _leaves(value, f"{path}.{key}" if path else key, found)
+    elif isinstance(doc, list):
+        for value in doc:
+            _leaves(value, path, found)
+    else:
+        found.setdefault(path, []).append(doc)
+    return found
+
+
+def _audit(name, old, new) -> str:
+    """One line on how a golden file changed: the largest change of each
+    numeric key relative to the key's largest magnitude, then flags for
+    everything that is not a number."""
+    flags = []
+    if name.endswith(".out"):
+        (old_code, old_out, old_err), (new_code, new_out, new_err) = (
+            re.split(r"\n--- stdout\n|--- stderr\n", text) for text in (old, new))
+        flags += ["EXIT"] * (old_code != new_code) + ["STDERR"] * (old_err != new_err)
+    else:
+        old_out, new_out = old, new
+    if name.endswith(".json.out") and old_out and new_out:
+        was, now = _leaves(json.loads(old_out)), _leaves(json.loads(new_out))
+    else:
+        was, now = ({"text": [float(x) for x in NUMBER.findall(out)]} for out in (old_out, new_out))
+        flags += ["TEXT"] * (NUMBER.sub("#", old_out) != NUMBER.sub("#", new_out))
+    changes = []
+    for key in sorted(was.keys() | now.keys()):
+        pairs = list(zip(was.get(key, []), now.get(key, [])))
+        if key not in was or key not in now or len(was[key]) != len(now[key]):
+            flags.append(f"KEYS {key}")
+        elif any(a != b and not (_is_number(a) and _is_number(b)) for a, b in pairs):
+            flags.append(f"VALUE {key}")
+        numeric = [(a, b) for a, b in pairs if _is_number(a) and _is_number(b)]
+        if numeric:
+            # relative to the key's largest magnitude, so that round-off
+            # entries of a coefficient list do not swamp the figure
+            scale = max(max(abs(a), abs(b)) for a, b in numeric)
+            rel = max(abs(a - b) for a, b in numeric) / scale if scale else 0.0
+            changes.append(f"{key} {rel:.2g}")
+    return f"changed {name}: " + ", ".join(changes) + "".join(f" [{flag}]" for flag in flags)
+
+
 def _rewrite():
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as work:
         _write_fixtures(Path(work))
         os.chdir(work)
         for name, argv, csv in _commands():
-            (GOLDEN / f"{name}.out").write_text(_run(argv), encoding="utf-8")
+            files = {f"{name}.out": _run(argv)}
             if csv is not None:
-                (GOLDEN / csv).write_bytes(Path(csv).read_bytes())
+                files[csv] = Path(csv).read_bytes().decode("utf-8")
+            for file, text in files.items():
+                path = GOLDEN / file
+                old = path.read_bytes().decode("utf-8") if path.exists() else None
+                if old != text:
+                    print(f"new {file}" if old is None else _audit(file, old, text))
+                    path.write_bytes(text.encode("utf-8"))
 
 
 if __name__ == "__main__":

@@ -42,7 +42,8 @@ def test_unit_axis_normalizes_near_unit():
 
 
 def test_unit_axis_rejects_bad_input():
-    for bad in ((1.1, 0, 0), (0, 0, 0), (1, 1, 0), (1, 0), "xyz"):
+    for bad in ((1.1, 0, 0), (0, 0, 0), (1, 1, 0), (1, 0), "xyz", (False, False, True),
+                (0, 0, None), (0, 0, "1"), [[0], [0], [1]], {"z": 1}, np.array([0, 0, 1], dtype=bool)):
         with pytest.raises(ValueError):
             unit_axis(bad)
 
