@@ -10,8 +10,10 @@ human-readable tables use 6.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -23,9 +25,9 @@ from .rotations import CompositeRotation, RotationSpec, composite_matrix
 
 TEXT_DIGITS = 6
 
-# scan builds every step's model before solving any: cap the dense entries
-# they hold together (16 bytes each, so 256 MiB)
-SCAN_MAX_ENTRIES = 1 << 24
+# scan holds one step's model at a time; only its grid of --steps values
+# grows with --steps (8 bytes each, so 128 MiB)
+SCAN_MAX_STEPS = 1 << 24
 
 _OPERATOR_NAMES = ("jx", "jy", "jz", "jplus", "jminus", "jsq")
 
@@ -274,60 +276,55 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
+def _scan_step(spec, param, value):
+    """Build the model at ``param = value`` and pair the spectrum of
+    H - shift: (value, physical eigenvalues, pairing report)."""
+    built = models.parameter_sweep(spec, param, [value])[0]
+    eigs, report = chiral.spectral_pairing(models.shifted_hamiltonian(built))
+    return float(value), eigs + built.shift, report
+
+
 def cmd_scan(args) -> int:
     spec = models.load_model_file(args.model_file)
-    if args.steps < 1:
-        raise ValueError("--steps must be at least 1")
+    if not 1 <= args.steps <= SCAN_MAX_STEPS:
+        raise ValueError(f"--steps must be between 1 and {SCAN_MAX_STEPS}, got {args.steps}")
     if not args.out:
         raise ValueError("scan writes CSV and requires --out PATH")
-    dim = models.hilbert_dim(spec)
-    if args.steps * dim * dim > SCAN_MAX_ENTRIES:
-        raise ValueError(
-            f"--steps {args.steps} at dim {dim} exceeds the scan budget of "
-            f"{SCAN_MAX_ENTRIES} matrix entries (at most {SCAN_MAX_ENTRIES // (dim * dim)} steps)"
-        )
-    values = np.linspace(args.start, args.stop, args.steps)
-    built_models = models.parameter_sweep(spec, args.param, values)
-    rows = []
-    for value, built in zip(values, built_models):
-        # diagonalize the shifted (chiral) part; emit physical eigenvalues
-        shifted_eigs, report = chiral.spectral_pairing(models.shifted_hamiltonian(built))
-        rows.append((float(value), shifted_eigs + built.shift, report))
+    # step 1 runs before --out is opened, so a bad name, model or first value leaves no file
+    solved = (_scan_step(spec, args.param, v) for v in np.linspace(args.start, args.stop, args.steps))
+    first = next(solved)
     header = (
         ["param", args.param]
-        + [f"lambda_{i}" for i in range(1, dim + 1)]
+        + [f"lambda_{i}" for i in range(1, len(first[1]) + 1)]
         + ["pairing_ok", "max_pair_mismatch"]
     )
-    csv_lines = [",".join(header)]
-    for value, eigs, report in rows:
-        cells = [args.param, _csv(value)]
-        cells += [_csv(v) for v in eigs]
-        cells += ["true" if report.is_chiral_paired else "false", _csv(report.max_mismatch)]
-        csv_lines.append(",".join(cells))
-    _write(args.out, "\n".join(csv_lines))
-    failures = [(value, report) for value, _, report in rows if not report.is_chiral_paired]
-    first_value, first_report = failures[0] if failures else (None, None)
+    failure = None
+    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        try:
+            fh.write(",".join(header) + "\n")
+            for value, eigs, report in itertools.chain([first], solved):
+                cells = [args.param, _csv(value), *map(_csv, eigs)]
+                cells += ["true" if report.is_chiral_paired else "false", _csv(report.max_mismatch)]
+                fh.write(",".join(cells) + "\n")
+                if failure is None and not report.is_chiral_paired:
+                    failure = {"param_value": value, "max_pair_mismatch": report.max_mismatch}
+        except BaseException:
+            fh.close()
+            # remove the partial CSV, never a device or link (/dev/null, /dev/stdout)
+            if os.path.isfile(args.out) and not os.path.islink(args.out):
+                os.remove(args.out)
+            raise
     summary = (
         "all rows chiral-paired"
-        if not failures
+        if failure is None
         else (
-            f"pairing FAILED first at {args.param} = {_fmt(first_value)} "
-            f"(mismatch {first_report.max_mismatch:.3e})"
+            f"pairing FAILED first at {args.param} = {_fmt(failure['param_value'])} "
+            f"(mismatch {failure['max_pair_mismatch']:.3e})"
         )
     )
-    payload = {
-        "rows": len(rows),
-        "out": args.out,
-        "all_paired": not failures,
-        "first_failure": None
-        if not failures
-        else {
-            "param_value": first_value,
-            "max_pair_mismatch": first_report.max_mismatch,
-        },
-    }
+    payload = {"rows": args.steps, "out": args.out, "all_paired": failure is None, "first_failure": failure}
     # --out holds the CSV, so the summary goes to stdout
-    _emit(args, ([f"wrote {len(rows)} rows to {args.out}; {summary}"], payload), None)
+    _emit(args, ([f"wrote {args.steps} rows to {args.out}; {summary}"], payload), None)
     return 0
 
 
@@ -501,7 +498,9 @@ def main(argv=None) -> int:
     defaults = argparse.Namespace(format="text", tol=chiral.DEFAULT_TOL, out=None)
     args = build_parser().parse_args(argv, defaults)
     try:
-        return args.func(args)
+        # numpy warns of the overflow that linalg.frobenius then rescales away
+        with np.errstate(over="ignore"):
+            return args.func(args)
     except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -49,7 +49,17 @@ def identity(dim: int) -> np.ndarray:
 
 
 def frobenius(a) -> float:
-    return float(np.linalg.norm(np.asarray(a)))
+    """Frobenius norm at any scale. ``np.linalg.norm`` sums squares, which
+    overflow from entries near 1e154 and underflow below 1e-162; a result
+    outside (1e-150, 1e150) is recomputed as s ||a / s|| with s = max |a_ij|."""
+    a = np.asarray(a)
+    norm = float(np.linalg.norm(a))
+    if not 1e-150 < norm < 1e150:
+        mags = np.abs(a)
+        s = float(mags.max(initial=0.0))
+        if 0.0 < s < math.inf:
+            norm = s * float(np.linalg.norm(mags / s))
+    return norm
 
 
 def commutator(a, b) -> np.ndarray:

@@ -264,9 +264,14 @@ def build(spec) -> BuiltModel:
     elif isinstance(spec, GeneralField):
         ops = build_spin_operators(spec.j)
         h = spec.a * ops.jx + spec.b * ops.jy + spec.c * ops.jz
-        plane = math.hypot(spec.a, spec.b)
-        if plane > 0.0:
-            axis = (spec.b / plane, -spec.a / plane, 0.0)
+        if spec.a or spec.b:
+            # scale (a, b) by the power of two nearest max(|a|, |b|) so that
+            # subnormal fields keep their digits; the axis changes only in
+            # components below about 1e-307
+            e = math.frexp(max(abs(spec.a), abs(spec.b)))[1]
+            a, b = math.ldexp(spec.a, -e), math.ldexp(spec.b, -e)
+            plane = math.hypot(a, b)
+            axis = (b / plane, -a / plane, 0.0)
         else:
             axis = X_AXIS  # field along z; any transverse axis works
         built = BuiltModel(

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -463,18 +464,99 @@ def test_ops_above_dimension_limit_exits_2(capsys):
 
 def test_scan_steps_above_budget_exit_2(tmp_path, capsys):
     path = write_model(tmp_path, {"model": "general_field", "j": "5/2", "params": {"a": 1, "b": 0, "c": 0}})
-    steps = cli.SCAN_MAX_ENTRIES // 36 + 1
+    steps = cli.SCAN_MAX_STEPS + 1
     code, out, err = run_cli(
         capsys, "--out", str(tmp_path / "x.csv"), "scan", path,
         "--param", "c", "--from", "0", "--to", "1", "--steps", str(steps),
     )
     assert code == 2
     assert out == ""
-    assert err == (
-        f"error: --steps {steps} at dim 6 exceeds the scan budget of "
-        f"{cli.SCAN_MAX_ENTRIES} matrix entries (at most {steps - 1} steps)\n"
-    )
+    assert err == f"error: --steps must be between 1 and {2**24}, got {2**24 + 1}\n"
     assert not (tmp_path / "x.csv").exists()
+
+
+SCAN_ERRORS = {
+    "negative_steps": ({"model": "general_field", "j": "1", "params": {"a": 1, "b": 2, "c": 0}},
+                       ["--param", "c", "--from", "0", "--to", "1", "--steps", "-1"]),
+    "unknown_param": ({"model": "general_field", "j": "1", "params": {"a": 1, "b": 2, "c": 0}},
+                      ["--param", "d", "--from", "0", "--to", "1", "--steps", "3"]),
+    "dim_limit": ({"model": "toy_coupled", "j1": "16", "j2": "16", "params": {"A": 1, "B": 1}},
+                  ["--param", "A", "--from", "0", "--to", "1", "--steps", "3"]),
+    "bad_first_value": ({"model": "general_field", "j": "1", "params": {"a": 1, "b": 2, "c": 0}},
+                        ["--param", "c", "--from", "nan", "--to", "1", "--steps", "3"]),
+    # step 2 has iz = 0 and raises after rows have been written
+    "mid_scan": ({"model": "triaxial_rotor", "j": "1", "params": {"ix": 1, "iy": 2, "iz": 1}},
+                 ["--param", "iz", "--from", "1", "--to", "-1", "--steps", "3"]),
+}
+
+
+@pytest.mark.parametrize("case", SCAN_ERRORS)
+def test_scan_exit_2_leaves_no_csv(tmp_path, capsys, case):
+    doc, grid = SCAN_ERRORS[case]
+    out_csv = tmp_path / "x.csv"
+    code, out, err = run_cli(capsys, "--out", str(out_csv), "scan", write_model(tmp_path, doc), *grid)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out_csv.exists()
+
+
+def _scan_peak_bytes(tmp_path, steps):
+    """Peak traced allocation of one scan of a dim-1 model."""
+    path = write_model(tmp_path, {"model": "general_field", "j": "0", "params": {"a": 1, "b": 0, "c": 0}})
+    argv = ["--out", str(tmp_path / "x.csv"), "scan", path,
+            "--param", "c", "--from", "-1", "--to", "1", "--steps", str(steps)]
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_scan_memory_does_not_grow_with_steps(tmp_path, capsys):
+    # a first, long scan fills CPython's pools of freed tuples (up to 2000 per
+    # size), which the measured scans would otherwise count as growth
+    _scan_peak_bytes(tmp_path, 2000)
+    short = _scan_peak_bytes(tmp_path, 40)
+    long = _scan_peak_bytes(tmp_path, 1000)
+    capsys.readouterr()
+    assert long - short < 100_000
+    assert len((tmp_path / "x.csv").read_text().splitlines()) == 1001
+
+
+@pytest.mark.parametrize("a, b", [(7e-320, 7e-320), (5e-324, 3e-323)])
+def test_subnormal_transverse_field_keeps_a_unit_partner_axis(tmp_path, capsys, a, b):
+    path = write_model(tmp_path, {"model": "general_field", "j": "1", "params": {"a": a, "b": b, "c": -1}})
+    code, out, err = run_cli(capsys, "verify", path)
+    assert (code, err) == (0, "")
+    assert "verified: yes" in out
+
+
+@pytest.mark.filterwarnings("error")
+def test_huge_field_is_not_collapsed_to_zero(tmp_path, capsys):
+    # entries of 1e160 overflow a plain sum of squares
+    path = write_model(tmp_path, {"model": "general_field", "j": "3/2", "params": {"a": 1e160, "b": 0, "c": 0}})
+    code, out, err = run_cli(capsys, "--format", "json", "verify", path)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["pairing"]["zero_modes"] == 0
+    code, out, err = run_cli(capsys, "--format", "json", "spectrum", path)
+    assert (code, err) == (0, "")
+    eigs = json.loads(out)["eigenvalues_numeric"]
+    assert eigs == pytest.approx([-1.5e160, -5e159, 5e159, 1.5e160], rel=1e-12)
+
+
+def test_search_finds_partners_of_a_tiny_matrix(tmp_path, capsys):
+    # entries of 1e-170 underflow a plain sum of squares
+    h = np.kron(np.array([[0, 0.5], [0.5, 0]]), np.eye(2)) + np.kron(np.eye(2), np.array([[0, 0.5], [0.5, 0]]))
+    hits = []
+    for scale in (1.0, 1e-170):
+        path = tmp_path / "matrix.json"
+        path.write_text(json.dumps({"dims": [2, 2], "entries": [[v * scale, 0.0] for v in h.reshape(-1)]}))
+        code, out, _ = run_cli(capsys, "--format", "json", "search", str(path))
+        assert code == 0
+        hits.append([hit["description"] for hit in json.loads(out)["hits"]])
+    assert len(hits[0]) == 4
+    assert hits[1] == hits[0]
 
 
 def test_size_limits_accept_every_test_and_benchmark_dim(tmp_path, capsys):

@@ -67,6 +67,18 @@ def test_commutator_antisymmetry_exact(rng):
         assert np.array_equal(linalg.anticommutator(a, b), linalg.anticommutator(b, a))
 
 
+@pytest.mark.parametrize("scale", [1e-320, 1e-170, 1e-160, 1.0, 1e160, 1e300])
+def test_frobenius_at_every_scale(rng, scale):
+    # sums of squares overflow from 1e154 and underflow below 1e-162
+    h = random_hermitian(rng, 5)
+    unit = linalg.frobenius(h)
+    tiny = scale < 1e-300  # subnormal entries keep only a few digits
+    with np.errstate(over="ignore"):
+        scaled = linalg.frobenius(h * scale)
+    assert scaled == pytest.approx(unit * scale, rel=1e-3 if tiny else 1e-14, abs=0.0)
+    assert linalg.frobenius(np.zeros((3, 3))) == 0.0
+
+
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError, match="dimension mismatch"):
         linalg.commutator(np.eye(2), np.eye(3))
