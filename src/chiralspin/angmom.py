@@ -67,8 +67,14 @@ class SpinLabel:
 
     @classmethod
     def from_value(cls, value) -> "SpinLabel":
-        twice = round(2.0 * float(value))
-        if abs(2.0 * float(value) - twice) > 1e-9:
+        try:
+            twice_f = 2.0 * float(value)
+        except OverflowError:  # an int beyond the double range
+            twice_f = math.inf
+        if not math.isfinite(twice_f):
+            raise ValueError(f"invalid spin label {value!r}")
+        twice = round(twice_f)
+        if abs(twice_f - twice) > 1e-9:
             raise ValueError(f"spin must be an integer or half-integer, got {value!r}")
         return cls(int(twice))
 

@@ -58,9 +58,16 @@ class SymmetryVerdict:
 
 def classify(c, h, tol: float = DEFAULT_TOL) -> SymmetryVerdict:
     """Classify C against H by the relative Frobenius residuals of [C, H] and
-    {C, H}. BOTH only occurs for trivial operators (either factor zero)."""
-    comm = linalg.commutator(c, h)
-    anti = linalg.anticommutator(c, h)
+    {C, H}. BOTH only occurs for trivial operators (either factor zero).
+
+    C H and H C are formed once and serve both residuals. The norms in the
+    denominator are those of C and H as passed, so a real array's norm is
+    summed in its own dtype."""
+    cm, hm = linalg._conforming(c, h)
+    ch = cm @ hm
+    hc = hm @ cm
+    comm = ch - hc
+    anti = ch + hc
     denom = linalg.frobenius(c) * linalg.frobenius(h)
     if denom == 0.0:
         rc = ra = 0.0

@@ -31,7 +31,7 @@ def as_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return m
 
@@ -51,9 +51,20 @@ def identity(dim: int) -> np.ndarray:
 def frobenius(a) -> float:
     """Frobenius norm at any scale. ``np.linalg.norm`` sums squares, which
     overflow from entries near 1e154 and underflow below 1e-162; a result
-    outside (1e-150, 1e150) is recomputed as s ||a / s|| with s = max |a_ij|."""
+    outside (1e-150, 1e150) is recomputed as s ||a / s|| with s = max |a_ij|.
+
+    For float64 and complex128 input the sum of squares is taken directly,
+    as ``np.linalg.norm`` takes it, without the cost of its dispatch."""
     a = np.asarray(a)
-    norm = float(np.linalg.norm(a))
+    if a.dtype == np.complex128:
+        x = a.ravel(order="K")
+        re, im = x.real, x.imag
+        norm = math.sqrt(re.dot(re) + im.dot(im))
+    elif a.dtype == np.float64:
+        x = a.ravel(order="K")
+        norm = math.sqrt(x.dot(x))
+    else:
+        norm = float(np.linalg.norm(a))
     if not 1e-150 < norm < 1e150:
         mags = np.abs(a)
         s = float(mags.max(initial=0.0))
@@ -75,8 +86,13 @@ def anticommutator(a, b) -> np.ndarray:
 
 
 def kron(a, b) -> np.ndarray:
-    """Kronecker product; the first factor carries the slow (outer) index."""
-    return np.kron(as_matrix(a), as_matrix(b))
+    """Kronecker product; the first factor carries the slow (outer) index.
+
+    One broadcast multiply, entry for entry the product ``np.kron`` forms."""
+    a = as_matrix(a)
+    b = as_matrix(b)
+    n = a.shape[0] * b.shape[0]
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(n, n)
 
 
 def hermitian_tolerance(a) -> float:

@@ -74,7 +74,8 @@ def unit_axis(vec) -> tuple[float, float, float]:
     v = np.array(parts, dtype=float)
     norm = float(np.linalg.norm(v))
     if abs(norm - 1.0) > AXIS_NORM_SLACK:
-        raise ValueError(f"axis must have unit length, got |n| = {norm:.8g}")
+        # hypot neither underflows nor overflows where the squares in norm do
+        raise ValueError(f"axis must have unit length, got |n| = {math.hypot(*parts):.8g}")
     v = v / norm
     return (float(v[0]), float(v[1]), float(v[2]))
 

@@ -76,8 +76,31 @@ def test_classify_invariant_under_sign_flip(rng):
 
 
 def test_classify_dimension_mismatch():
-    with pytest.raises(ValueError, match="dimension mismatch"):
+    with pytest.raises(ValueError, match="^dimension mismatch: 2 vs 3$"):
         classify(np.eye(2), np.zeros((3, 3)))
+    with pytest.raises(ValueError, match="^dimension mismatch: 3 vs 2$"):
+        classify(np.zeros((3, 3)), np.eye(2))
+
+
+def test_classify_rejects_non_finite_input():
+    bad = np.eye(2, dtype=complex)
+    bad[0, 1] = np.nan
+    for c, h in ((bad, np.eye(2)), (np.eye(2), bad)):
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            classify(c, h)
+
+
+def test_classify_residuals_are_commutator_norms(rng):
+    # the residuals are exactly ||[C, H]|| and ||{C, H}|| over ||C|| ||H||,
+    # also for real and list input, whose norms are summed as given
+    for dim in (1, 2, 4, 9, 16):
+        c = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        h = random_hermitian(rng, dim)
+        for cc, hh in ((c, h), (c.real, h.real), (c.T, h), (c.real.tolist(), h)):
+            verdict = classify(cc, hh)
+            denom = linalg.frobenius(cc) * linalg.frobenius(hh)
+            assert verdict.residual_commute == linalg.frobenius(linalg.commutator(cc, hh)) / denom
+            assert verdict.residual_anticommute == linalg.frobenius(linalg.anticommutator(cc, hh)) / denom
 
 
 def test_pairing_with_zero_mode():

@@ -59,6 +59,25 @@ def test_ops_bad_spin_label(capsys):
     assert "invalid spin label" in err
 
 
+@pytest.mark.parametrize("text, shown", [("1e400", "inf"), ("1e308", "1e+308"), ("-1e400", "-inf"),
+                                         ("NaN", "nan"), ("1" + "0" * 400, "1" + "0" * 400)],
+                         ids=["1e400", "1e308", "-1e400", "NaN", "int-1e400"])
+def test_non_finite_spin_label_in_a_model_file_exit_2(tmp_path, capsys, text, shown):
+    # JSON reads 1e400 as inf; 2j overflows for 1e308; a 401-digit int has no float
+    path = tmp_path / "model.json"
+    path.write_text('{"model": "general_field", "j": %s, "params": {"a": 1, "b": 1, "c": 0}}' % text)
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: invalid spin label {shown}\n"
+
+
+@pytest.mark.parametrize("flag", ["--j=inf", "--j=-inf", "--j=1e308", "--j=nan"])
+def test_ops_non_finite_spin_label_exit_2(capsys, flag):
+    code, out, err = run_cli(capsys, "ops", flag, "--which", "jz")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: invalid spin label ") and err.count("\n") == 1, err
+
+
 def test_ops_out_redirect(tmp_path, capsys):
     target = tmp_path / "jz.txt"
     code, out, _ = run_cli(capsys, "--out", str(target), "ops", "--j", "1", "--which", "jz")

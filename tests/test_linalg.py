@@ -79,6 +79,40 @@ def test_frobenius_at_every_scale(rng, scale):
     assert linalg.frobenius(np.zeros((3, 3))) == 0.0
 
 
+def _frobenius_cases(rng):
+    """(name, array) pairs whose norm lies inside (1e-150, 1e150)."""
+    for dim in (1, 2, 5, 12):
+        for scale in (1e-6, 1.0, 1e6):
+            real = rng.normal(size=(dim, dim)) * scale
+            cplx = real + 1j * rng.normal(size=(dim, dim)) * scale
+            yield "real", real
+            yield "complex", cplx
+            yield "int64", np.rint(real / scale * 1000).astype(np.int64)
+            yield "float32", real.astype(np.float32)
+            yield "1-D", cplx.ravel()
+            yield "transposed", cplx.T
+            yield "conj-transposed", cplx.conj().T
+            yield "real strided", real[::2, ::-1]
+            yield "complex strided", cplx[::2, ::-1]
+
+
+def test_frobenius_is_numpy_norm_bit_for_bit(rng):
+    for name, a in _frobenius_cases(rng):
+        assert linalg.frobenius(a) == float(np.linalg.norm(a)), name
+
+
+def test_kron_is_numpy_kron_bit_for_bit(rng):
+    def cplx(n):
+        return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+
+    pairs = [(np.ones((1, 1)), cplx(3)), (cplx(3), [[2.5]]), ([[1j]], [[-2.0]]),
+             (cplx(2), cplx(4)), (cplx(4)[::2, ::-2], cplx(6)[::3, 1::3].T), (cplx(3).real, cplx(2).conj().T)]
+    for a, b in pairs:
+        got, want = linalg.kron(a, b), np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError, match="dimension mismatch"):
         linalg.commutator(np.eye(2), np.eye(3))
@@ -89,10 +123,9 @@ def test_dimension_mismatch_rejected():
 def test_rejects_non_square_and_non_finite():
     with pytest.raises(ValueError):
         linalg.as_matrix(np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        linalg.as_matrix([[np.nan, 0.0], [0.0, 0.0]])
-    with pytest.raises(ValueError):
-        linalg.as_matrix([[np.inf * 1j, 0.0], [0.0, 0.0]])
+    for bad in (np.nan, np.inf, np.inf * 1j, complex(1, np.inf), complex(np.nan, 0)):
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            linalg.as_matrix([[bad, 0.0], [0.0, 0.0]])
 
 
 def test_eigensolve_jz_j1():

@@ -41,6 +41,14 @@ def test_unit_axis_normalizes_near_unit():
     assert unit_axis((1.0 + 5e-7, 0.0, 0.0)) == (1.0, 0.0, 0.0)
 
 
+def test_unit_axis_error_reports_the_true_length():
+    # the squares of these components underflow to 0 and overflow to inf
+    with pytest.raises(ValueError, match=r"\|n\| = 9\.9998887e-321$"):
+        unit_axis([1e-320, 0, 0])
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match=r"\|n\| = 1e\+308$"):
+        unit_axis([0, 0, 1e308])
+
+
 def test_unit_axis_rejects_bad_input():
     for bad in ((1.1, 0, 0), (0, 0, 0), (1, 1, 0), (1, 0), "xyz", (False, False, True),
                 (0, 0, None), (0, 0, "1"), [[0], [0], [1]], {"z": 1}, np.array([0, 0, 1], dtype=bool)):
