@@ -37,6 +37,7 @@ def as_matrix(a) -> np.ndarray:
 
 
 def _conforming(a, b):
+    """Validate two matrices of one shape; shared with ``chiral.classify``."""
     a = as_matrix(a)
     b = as_matrix(b)
     if a.shape != b.shape:
@@ -53,16 +54,14 @@ def frobenius(a) -> float:
     overflow from entries near 1e154 and underflow below 1e-162; a result
     outside (1e-150, 1e150) is recomputed as s ||a / s|| with s = max |a_ij|.
 
-    For float64 and complex128 input the sum of squares is taken directly,
-    as ``np.linalg.norm`` takes it, without the cost of its dispatch."""
+    For complex128 input, which every caller in the package passes, the sum
+    of squares is taken directly, as ``np.linalg.norm`` takes it, without the
+    cost of its dispatch; other dtypes go through ``np.linalg.norm``."""
     a = np.asarray(a)
     if a.dtype == np.complex128:
         x = a.ravel(order="K")
         re, im = x.real, x.imag
         norm = math.sqrt(re.dot(re) + im.dot(im))
-    elif a.dtype == np.float64:
-        x = a.ravel(order="K")
-        norm = math.sqrt(x.dot(x))
     else:
         norm = float(np.linalg.norm(a))
     if not 1e-150 < norm < 1e150:

@@ -72,7 +72,8 @@ def unit_axis(vec) -> tuple[float, float, float]:
                                   and math.isfinite(x) for x in parts):
         raise ValueError(f"axis must be a finite 3-vector, got {vec!r}")
     v = np.array(parts, dtype=float)
-    norm = float(np.linalg.norm(v))
+    with np.errstate(over="ignore", under="ignore"):
+        norm = float(np.linalg.norm(v))
     if abs(norm - 1.0) > AXIS_NORM_SLACK:
         # hypot neither underflows nor overflows where the squares in norm do
         raise ValueError(f"axis must have unit length, got |n| = {math.hypot(*parts):.8g}")

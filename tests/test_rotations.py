@@ -45,7 +45,7 @@ def test_unit_axis_error_reports_the_true_length():
     # the squares of these components underflow to 0 and overflow to inf
     with pytest.raises(ValueError, match=r"\|n\| = 9\.9998887e-321$"):
         unit_axis([1e-320, 0, 0])
-    with np.errstate(over="ignore"), pytest.raises(ValueError, match=r"\|n\| = 1e\+308$"):
+    with pytest.raises(ValueError, match=r"\|n\| = 1e\+308$"):
         unit_axis([0, 0, 1e308])
 
 
