@@ -117,11 +117,6 @@ class SpinOperators:
         return n[0] * self.jx + n[1] * self.jy + n[2] * self.jz
 
 
-def _ladder_coeff(tj: int, tm: int) -> float:
-    """sqrt(j(j+1) - m(m+1)) from exact twice-integer quantum numbers."""
-    return 0.5 * math.sqrt(tj * (tj + 2) - tm * (tm + 2))
-
-
 def build_spin_operators(label) -> SpinOperators:
     """Build Jx, Jy, Jz, J+, J-, J^2 for the given j.
 
@@ -136,16 +131,15 @@ def build_spin_operators(label) -> SpinOperators:
             f"spin j = {label} has dimension {label.dim}, above the limit {MAX_HILBERT_DIM}"
         )
     tj = label.twice_j
-    dim = label.dim
     twice_m = np.arange(tj, -tj - 1, -2, dtype=np.int64)
     jz = np.diag(twice_m / 2.0).astype(np.complex128)
-    jplus = np.zeros((dim, dim), dtype=np.complex128)
-    for k in range(1, dim):
-        jplus[k - 1, k] = _ladder_coeff(tj, int(twice_m[k]))
+    # sqrt(j(j+1) - m(m+1)) from exact twice-integer quantum numbers
+    tm = twice_m[1:]
+    jplus = np.diag(0.5 * np.sqrt(tj * (tj + 2) - tm * (tm + 2)), 1).astype(np.complex128)
     jminus = jplus.conj().T
     jx = 0.5 * (jplus + jminus)
     jy = -0.5j * (jplus - jminus)
-    jsq = (tj * (tj + 2) / 4.0) * identity(dim)
+    jsq = (tj * (tj + 2) / 4.0) * identity(label.dim)
     return SpinOperators(label, jx, jy, jz, jplus, jminus, jsq)
 
 

@@ -284,7 +284,7 @@ def full_solve(h, partner=None) -> PolySolveReport:
     When ``partner`` is supplied and anticommutes with H the spectrum must
     come out paired; a violation indicates corrupt input and raises.
     """
-    h = linalg.require_hermitian(h)
+    h = linalg.as_matrix(h)  # the eigensolve under spectral_pairing checks it is Hermitian
     eigenvalues, pairing = spectral_pairing(h)
     numeric = tuple(float(x) for x in eigenvalues)
     n, zeros, parity_ok = len(numeric), pairing.zero_modes, pairing.is_chiral_paired

@@ -104,31 +104,31 @@ class PairingReport:
         return max((m for _, _, m in self.pairs), default=0.0)
 
 
-def pairing_check(eigenvalues, tol_pair: float, tol_zero: float) -> PairingReport:
+def pairing_check(eigenvalues, tol: float) -> PairingReport:
     """Match sorted eigenvalues from opposite ends inward into +/- pairs.
 
-    Eigenvalues with |lambda| < tol_zero count as zero modes; for a genuinely
-    paired spectrum they occupy the centre of the sorted list, so
+    Eigenvalues with |lambda| < tol count as zero modes, and a pair is
+    matched when |lambda+ + lambda-| < tol; for a genuinely paired spectrum
+    the zero modes occupy the centre of the sorted list, so
     2*len(pairs) + zero_modes = len(eigenvalues) whenever pairing holds.
     """
     values = [float(x) for x in eigenvalues]
     if any(values[i] > values[i + 1] for i in range(len(values) - 1)):
         raise ValueError("eigenvalues must be sorted ascending")
     n = len(values)
-    zero_modes = sum(1 for x in values if abs(x) < tol_zero)
+    zero_modes = sum(1 for x in values if abs(x) < tol)
     pairs = tuple(
         (values[n - 1 - i], values[i], abs(values[i] + values[n - 1 - i]))
         for i in range((n - zero_modes) // 2)
     )
-    paired = (n - zero_modes) % 2 == 0 and all(m < tol_pair for _, _, m in pairs)
+    paired = (n - zero_modes) % 2 == 0 and all(m < tol for _, _, m in pairs)
     return PairingReport(pairs, zero_modes, paired)
 
 
 def spectral_pairing(h) -> tuple[np.ndarray, PairingReport]:
     """Ascending eigenvalues of H and their mirror pairing at default_pairing_tol(H)."""
     eigenvalues = linalg.hermitian_eigensolve(h).eigenvalues
-    tol = default_pairing_tol(h)
-    return eigenvalues, pairing_check(eigenvalues, tol, tol)
+    return eigenvalues, pairing_check(eigenvalues, default_pairing_tol(h))
 
 
 def search_partners(h, dims, angles=None, axes=None,

@@ -337,7 +337,10 @@ def _is_positive_integer(value) -> bool:
 def _entry_part(value) -> float:
     if isinstance(value, bool):
         raise TypeError("boolean matrix entry")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an int beyond the double range, rejected as 1e400 is
+        return math.inf
 
 
 def _matrix_from_doc(doc, origin):

@@ -130,15 +130,14 @@ def hermitian_eigensolve(h) -> EigenDecomposition:
 
 def unitary_exp(generator, t: float) -> np.ndarray:
     """exp(-i t A) for Hermitian A, via the spectral decomposition of A from
-    ``hermitian_eigensolve``.
+    ``hermitian_eigensolve``, which rejects an A that is not Hermitian.
 
     Exact up to eigensolver accuracy; degenerate generators need no special
     handling.
     """
-    g = require_hermitian(generator, "generator")
     t = float(t)
     if not math.isfinite(t):
         raise ValueError("angle must be finite")
-    eig = hermitian_eigensolve(g)
+    eig = hermitian_eigensolve(generator)
     phases = np.exp(-1j * t * eig.eigenvalues)
     return (eig.eigenvectors * phases) @ eig.eigenvectors.conj().T

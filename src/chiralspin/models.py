@@ -30,6 +30,7 @@ __all__ = [
     "CrossedFieldsShifted",
     "GeneralField",
     "MODEL_TAGS",
+    "ModelSpec",
     "OHMolecule",
     "ToyCoupled",
     "TriaxialRotor",
@@ -52,22 +53,33 @@ _SPIN_FIELDS = ("j", "j1", "j2")
 TRIAXIAL_CONDITION_RTOL = 1e-10
 
 
-def _coerce(spec):
-    for f in dataclasses.fields(spec):
-        value = getattr(spec, f.name)
-        if f.name in _SPIN_FIELDS:
-            object.__setattr__(spec, f.name, SpinLabel.parse(value))
-            continue
-        if isinstance(value, bool) or not isinstance(value, (str, numbers.Real)):
-            raise ValueError(f"parameter {f.name!r} must be a number, got {value!r}")
-        value = parse_angle(value) if isinstance(value, str) else float(value)
-        if not math.isfinite(value):
-            raise ValueError(f"parameter {f.name!r} must be finite")
-        object.__setattr__(spec, f.name, value)
+class ModelSpec:
+    """Base of the model specs: one frozen dataclass per family, whose
+    fields are spin labels (``j``, ``j1``, ``j2``) and real parameters.
+    Construction parses the labels and makes every parameter a finite float;
+    numeric parameters also accept the angle literals of ``parse_angle``."""
+
+    tag: ClassVar[str]
+
+    def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.name in _SPIN_FIELDS:
+                object.__setattr__(self, f.name, SpinLabel.parse(value))
+                continue
+            if isinstance(value, bool) or not isinstance(value, (str, numbers.Real)):
+                raise ValueError(f"parameter {f.name!r} must be a number, got {value!r}")
+            try:
+                value = parse_angle(value) if isinstance(value, str) else float(value)
+            except OverflowError:  # an int beyond the double range
+                value = math.inf
+            if not math.isfinite(value):
+                raise ValueError(f"parameter {f.name!r} must be finite")
+            object.__setattr__(self, f.name, value)
 
 
 @dataclass(frozen=True)
-class CrossedFields:
+class CrossedFields(ModelSpec):
     """a Jx + b Jy: one spin in two crossed transverse fields."""
 
     j: SpinLabel
@@ -76,12 +88,9 @@ class CrossedFields:
 
     tag: ClassVar[str] = "crossed_fields"
 
-    def __post_init__(self):
-        _coerce(self)
-
 
 @dataclass(frozen=True)
-class CrossedFieldsShifted:
+class CrossedFieldsShifted(ModelSpec):
     """a Jx + b Jy + c J^2: crossed fields plus the free rotational energy.
 
     The J^2 term is the constant c j(j+1) at fixed j, so it only shifts the
@@ -95,12 +104,9 @@ class CrossedFieldsShifted:
 
     tag: ClassVar[str] = "crossed_fields_shifted"
 
-    def __post_init__(self):
-        _coerce(self)
-
 
 @dataclass(frozen=True)
-class GeneralField:
+class GeneralField(ModelSpec):
     """a Jx + b Jy + c Jz: the angular momentum projected along an arbitrary
     field direction."""
 
@@ -111,12 +117,9 @@ class GeneralField:
 
     tag: ClassVar[str] = "general_field"
 
-    def __post_init__(self):
-        _coerce(self)
-
 
 @dataclass(frozen=True)
-class TriaxialRotor:
+class TriaxialRotor(ModelSpec):
     """Jx^2/2Ix + Jy^2/2Iy + Jz^2/2Iz: rigid rotor with three moments of
     inertia. Chiral only when 1/Ix + 1/Iy = 2/Iz, where the shifted
     Hamiltonian collapses to D (Jx^2 - Jy^2)."""
@@ -129,13 +132,13 @@ class TriaxialRotor:
     tag: ClassVar[str] = "triaxial_rotor"
 
     def __post_init__(self):
-        _coerce(self)
+        super().__post_init__()
         if min(self.ix, self.iy, self.iz) <= 0.0:
             raise ValueError("moments of inertia must be strictly positive")
 
 
 @dataclass(frozen=True)
-class ToyCoupled:
+class ToyCoupled(ModelSpec):
     """A J1y J2y + B J1z J2z: two spins coupled along y and z but not x."""
 
     j1: SpinLabel
@@ -145,12 +148,9 @@ class ToyCoupled:
 
     tag: ClassVar[str] = "toy_coupled"
 
-    def __post_init__(self):
-        _coerce(self)
-
 
 @dataclass(frozen=True)
-class OHMolecule:
+class OHMolecule(ModelSpec):
     """Delta J1z + B J2z + E J1x (J2z cos(theta) - J2x sin(theta)): a 1/2 x 3/2
     ground-state doublet in combined static fields crossed at angle theta."""
 
@@ -163,18 +163,6 @@ class OHMolecule:
 
     tag: ClassVar[str] = "oh_molecule"
 
-    def __post_init__(self):
-        _coerce(self)
-
-
-ModelSpec = (
-    CrossedFields
-    | CrossedFieldsShifted
-    | GeneralField
-    | TriaxialRotor
-    | ToyCoupled
-    | OHMolecule
-)
 
 MODEL_TAGS = {
     cls.tag: cls
@@ -246,24 +234,23 @@ def _single(axis, angle) -> CompositeRotation:
 def build(spec) -> BuiltModel:
     """Assemble the Hamiltonian matrix, shift constant, and chiral partner."""
     hilbert_dim(spec)
+    ops = [build_spin_operators(label) for label in spin_labels(spec)]
+    dims = subsystem_dims(spec)
     if isinstance(spec, CrossedFields):
-        ops = build_spin_operators(spec.j)
-        h = spec.a * ops.jx + spec.b * ops.jy
+        h = spec.a * ops[0].jx + spec.b * ops[0].jy
         built = BuiltModel(
-            spec, h, (ops.dim,), 0.0, _single(Z_AXIS, math.pi), True,
+            spec, h, dims, 0.0, _single(Z_AXIS, math.pi), True,
             "a pi rotation about z flips both Jx and Jy",
         )
     elif isinstance(spec, CrossedFieldsShifted):
-        ops = build_spin_operators(spec.j)
-        h = spec.a * ops.jx + spec.b * ops.jy + spec.c * ops.jsq
+        h = spec.a * ops[0].jx + spec.b * ops[0].jy + spec.c * ops[0].jsq
         shift = spec.c * spec.j.twice_j * (spec.j.twice_j + 2) / 4.0
         built = BuiltModel(
-            spec, h, (ops.dim,), shift, _single(Z_AXIS, math.pi), True,
+            spec, h, dims, shift, _single(Z_AXIS, math.pi), True,
             "c J^2 is the constant c j(j+1); the remainder is chiral",
         )
     elif isinstance(spec, GeneralField):
-        ops = build_spin_operators(spec.j)
-        h = spec.a * ops.jx + spec.b * ops.jy + spec.c * ops.jz
+        h = spec.a * ops[0].jx + spec.b * ops[0].jy + spec.c * ops[0].jz
         if spec.a or spec.b:
             # scale (a, b) by the power of two nearest max(|a|, |b|) so that
             # subnormal fields keep their digits; the axis changes only in
@@ -275,16 +262,12 @@ def build(spec) -> BuiltModel:
         else:
             axis = X_AXIS  # field along z; any transverse axis works
         built = BuiltModel(
-            spec, h, (ops.dim,), 0.0, _single(axis, math.pi), True,
+            spec, h, dims, 0.0, _single(axis, math.pi), True,
             "a pi rotation about an axis perpendicular to (a, b, c) flips a.J",
         )
     elif isinstance(spec, TriaxialRotor):
-        ops = build_spin_operators(spec.j)
-        h = (
-            ops.jx @ ops.jx / (2.0 * spec.ix)
-            + ops.jy @ ops.jy / (2.0 * spec.iy)
-            + ops.jz @ ops.jz / (2.0 * spec.iz)
-        )
+        jx, jy, jz = ops[0].jx, ops[0].jy, ops[0].jz
+        h = jx @ jx / (2.0 * spec.ix) + jy @ jy / (2.0 * spec.iy) + jz @ jz / (2.0 * spec.iz)
         shift = spec.j.twice_j * (spec.j.twice_j + 2) / 4.0 / (2.0 * spec.iz)
         residual = abs(1.0 / spec.ix + 1.0 / spec.iy - 2.0 / spec.iz)
         scale = max(1.0 / spec.ix, 1.0 / spec.iy, 1.0 / spec.iz)
@@ -294,24 +277,21 @@ def build(spec) -> BuiltModel:
             f"(relative {residual / scale:.3e}); chiral requires it to vanish"
         )
         built = BuiltModel(
-            spec, h, (ops.dim,), shift,
+            spec, h, dims, shift,
             _single(Z_AXIS, math.pi / 2.0) if met else None, met, note,
         )
     elif isinstance(spec, ToyCoupled):
-        ops1 = build_spin_operators(spec.j1)
-        ops2 = build_spin_operators(spec.j2)
+        ops1, ops2 = ops
         h = spec.A * linalg.kron(ops1.jy, ops2.jy) + spec.B * linalg.kron(ops1.jz, ops2.jz)
         partner = CompositeRotation(
             (RotationSpec(0, Y_AXIS, math.pi), RotationSpec(1, Z_AXIS, math.pi))
         )
         built = BuiltModel(
-            spec, h, (ops1.dim, ops2.dim), 0.0, partner, True,
+            spec, h, dims, 0.0, partner, True,
             "rotating spin 1 about y and spin 2 about z flips both couplings",
         )
     elif isinstance(spec, OHMolecule):
-        ops1 = build_spin_operators(spec.j1)
-        ops2 = build_spin_operators(spec.j2)
-        dims = (ops1.dim, ops2.dim)
+        ops1, ops2 = ops
         tilted = math.cos(spec.theta) * ops2.jz - math.sin(spec.theta) * ops2.jx
         h = (
             spec.delta * embed(ops1.jz, 0, dims)

@@ -45,7 +45,10 @@ def parse_angle(value) -> float:
     if isinstance(value, bool):
         raise ValueError(f"cannot parse angle {value!r}")
     if isinstance(value, (int, float)):
-        angle = float(value)
+        try:
+            angle = float(value)
+        except OverflowError:  # an int beyond the double range
+            angle = math.inf
     else:
         s = str(value).strip().lower().replace(" ", "")
         sign = 1.0
@@ -68,8 +71,12 @@ def unit_axis(vec) -> tuple[float, float, float]:
     """Validate a rotation axis of three real numbers (booleans are not
     numbers here); near-unit input is silently renormalized."""
     parts = list(vec) if isinstance(vec, (list, tuple, np.ndarray)) else []
-    if len(parts) != 3 or not all(isinstance(x, numbers.Real) and not isinstance(x, bool)
-                                  and math.isfinite(x) for x in parts):
+    try:
+        finite = len(parts) == 3 and all(isinstance(x, numbers.Real) and not isinstance(x, bool)
+                                         and math.isfinite(x) for x in parts)
+    except OverflowError:  # an int beyond the double range
+        finite = False
+    if not finite:
         raise ValueError(f"axis must be a finite 3-vector, got {vec!r}")
     v = np.array(parts, dtype=float)
     with np.errstate(over="ignore", under="ignore"):
@@ -100,8 +107,9 @@ class RotationSpec:
 
     def __post_init__(self):
         slot = self.slot
+        # slot % 1 is exact for ints beyond the double range, nan for nan and inf
         if (isinstance(slot, bool) or not isinstance(slot, numbers.Real)
-                or not float(slot).is_integer() or slot < 0):
+                or slot % 1 != 0 or slot < 0):
             raise ValueError(f"slot must be a non-negative integer, got {slot!r}")
         object.__setattr__(self, "slot", int(slot))
         object.__setattr__(self, "axis", unit_axis(self.axis))

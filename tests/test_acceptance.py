@@ -141,7 +141,7 @@ def test_criterion_04_anticommutation_suite():
             eigs = linalg.hermitian_eigensolve(shifted).eigenvalues
             hnorm = linalg.frobenius(shifted)
             tol = 1e-9 * max(1.0, hnorm)
-            assert chiral.pairing_check(eigs, tol, tol).is_chiral_paired
+            assert chiral.pairing_check(eigs, tol).is_chiral_paired
             if shifted.shape[0] % 2 == 1:
                 assert np.min(np.abs(eigs)) < 1e-9 * hnorm
     elapsed = time.perf_counter() - start
@@ -198,7 +198,7 @@ def test_criterion_06_figure3_property():
             assert verdict.residual_anticommute < 1e-10
             eigs = linalg.hermitian_eigensolve(built.hamiltonian).eigenvalues
             tol = 1e-9 * max(1.0, linalg.frobenius(built.hamiltonian))
-            assert chiral.pairing_check(eigs, tol, tol).is_chiral_paired
+            assert chiral.pairing_check(eigs, tol).is_chiral_paired
     elapsed = time.perf_counter() - start
     assert elapsed < 2.0
     _report(6, elapsed, "3 settings x 101-point field sweeps")

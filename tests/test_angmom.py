@@ -146,3 +146,15 @@ def test_embed_errors():
         embed(np.eye(2), 2, [2, 4])
     with pytest.raises(ValueError, match="does not match"):
         embed(np.eye(3), 0, [2, 4])
+
+
+def test_ladder_matches_the_per_entry_formula_bit_for_bit():
+    # J+ once filled entry by entry with math.sqrt on exact Python ints
+    for twice_j in [*range(201), 1023]:
+        jplus = build_spin_operators(SpinLabel(twice_j)).jplus
+        expected = np.zeros((twice_j + 1, twice_j + 1), dtype=np.complex128)
+        for k in range(1, twice_j + 1):
+            twice_m = twice_j - 2 * k
+            expected[k - 1, k] = 0.5 * math.sqrt(twice_j * (twice_j + 2) - twice_m * (twice_m + 2))
+        assert jplus.dtype == expected.dtype, twice_j
+        assert jplus.tobytes() == expected.tobytes(), twice_j

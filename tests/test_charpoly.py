@@ -440,6 +440,28 @@ def test_full_solve_builds_at_most_one_polynomial(monkeypatch, rng):
         assert len(calls) == expected
 
 
+@pytest.mark.parametrize("solve", [full_solve, lambda h: linalg.unitary_exp(h, 1.0)],
+                         ids=["full_solve", "unitary_exp"])
+@pytest.mark.parametrize("bad, message", [
+    ([[np.nan, 0.0], [0.0, 0.0]], "matrix entries must be finite"),
+    (np.zeros((2, 3)), r"expected a square matrix, got shape \(2, 3\)"),
+    ([[0.0, 1.0], [0.0, 0.0]], r"matrix is not Hermitian \(defect "),
+], ids=["nan", "non-square", "non-hermitian"])
+def test_full_solve_and_unitary_exp_reject_bad_input(solve, bad, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        solve(bad)
+
+
+def test_full_solve_report_does_not_depend_on_the_input_type(rng):
+    paired = models.build(CrossedFields("3/2", 0.7, 0.0)).hamiltonian.real
+    unpaired = rng.normal(size=(4, 4))
+    for h in (paired, unpaired + unpaired.T):
+        assert h.dtype == np.float64
+        report = full_solve(h.astype(np.complex128))
+        assert full_solve(h) == report
+        assert full_solve(h.tolist()) == report
+
+
 def test_full_solve_many_zero_modes_still_radicals():
     # two 2x2 blocks in dim 12 leave 8 zero modes and effective degree 2:
     # zero modes make the route radicals above dim 11

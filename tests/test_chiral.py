@@ -104,7 +104,7 @@ def test_classify_residuals_are_commutator_norms(rng):
 
 
 def test_pairing_with_zero_mode():
-    report = pairing_check([-3.0, 0.0, 3.0], 1e-9, 1e-9)
+    report = pairing_check([-3.0, 0.0, 3.0], 1e-9)
     assert report.is_chiral_paired
     assert report.zero_modes == 1
     assert len(report.pairs) == 1
@@ -112,14 +112,14 @@ def test_pairing_with_zero_mode():
 
 
 def test_pairing_single_zero():
-    report = pairing_check([0.0], 1e-9, 1e-9)
+    report = pairing_check([0.0], 1e-9)
     assert report.is_chiral_paired
     assert report.zero_modes == 1
     assert report.pairs == ()
 
 
 def test_pairing_six_levels_no_zero_mode():
-    report = pairing_check([-2.5, -1.5, -0.5, 0.5, 1.5, 2.5], 1e-9, 1e-9)
+    report = pairing_check([-2.5, -1.5, -0.5, 0.5, 1.5, 2.5], 1e-9)
     assert report.is_chiral_paired
     assert report.zero_modes == 0
     assert len(report.pairs) == 3
@@ -128,12 +128,12 @@ def test_pairing_six_levels_no_zero_mode():
 
 def test_pairing_rejects_unsorted():
     with pytest.raises(ValueError, match="sorted"):
-        pairing_check([1.0, -1.0], 1e-9, 1e-9)
+        pairing_check([1.0, -1.0], 1e-9)
 
 
 def test_pairing_flags_asymmetric_spectrum():
-    assert not pairing_check([1.0, 2.0, 3.0], 1e-9, 1e-9).is_chiral_paired
-    assert not pairing_check([-1.0, 2.0], 1e-9, 1e-9).is_chiral_paired
+    assert not pairing_check([1.0, 2.0, 3.0], 1e-9).is_chiral_paired
+    assert not pairing_check([-1.0, 2.0], 1e-9).is_chiral_paired
 
 
 def test_pairing_counts_add_up(rng):
@@ -141,7 +141,7 @@ def test_pairing_counts_add_up(rng):
         pos = np.sort(rng.uniform(0.5, 3.0, size=int(rng.integers(0, 4))))
         zeros = int(rng.integers(0, 3))
         values = np.concatenate([-pos[::-1], np.zeros(zeros), pos])
-        report = pairing_check(values, 1e-9, 1e-9)
+        report = pairing_check(values, 1e-9)
         assert report.is_chiral_paired
         assert 2 * len(report.pairs) + report.zero_modes == len(values)
 
@@ -221,7 +221,7 @@ def test_spectral_pairing_uses_default_tolerance(rng):
     eigenvalues, report = spectral_pairing(h)
     tol = default_pairing_tol(h)
     assert np.array_equal(eigenvalues, linalg.hermitian_eigensolve(h).eigenvalues)
-    assert report == pairing_check(eigenvalues, tol, tol)
+    assert report == pairing_check(eigenvalues, tol)
 
 
 def test_search_rejects_inconsistent_dims():
@@ -402,7 +402,7 @@ def test_anticommuting_partner_implies_pairing(rng):
         assert classify(r, shifted).kind in (Symmetry.ANTICOMMUTING, Symmetry.BOTH)
         eig = linalg.hermitian_eigensolve(shifted)
         tol = default_pairing_tol(shifted)
-        assert pairing_check(eig.eigenvalues, tol, tol).is_chiral_paired
+        assert pairing_check(eig.eigenvalues, tol).is_chiral_paired
 
 
 def test_odd_dimension_forces_zero_mode(rng):
@@ -439,7 +439,7 @@ def _assert_chiral_identities(c, h):
     dim = h.shape[0]
     eig = linalg.hermitian_eigensolve(h)
     tol = default_pairing_tol(h)
-    report = pairing_check(eig.eigenvalues, tol, tol)
+    report = pairing_check(eig.eigenvalues, tol)
     assert report.is_chiral_paired, dim
     assert report.zero_modes == dim % 2, dim
     assert 2 * len(report.pairs) + report.zero_modes == dim

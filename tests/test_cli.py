@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chiralspin import cli, models
+from chiralspin import cli, linalg, models
 from chiralspin.chiral import default_pairing_tol
 
 from helpers import FAMILIES, chiral_model_at_dim, reference_charpoly, write_model
@@ -848,3 +848,57 @@ def test_search_model_errors_name_the_file(tmp_path, capsys):
     assert err.startswith(f"error: {path}: unknown model 'nope'; ")
     assert run_cli(capsys, "verify", path) == (code, out, err)
 
+
+BEYOND_DOUBLE = 10**400
+
+
+@pytest.mark.parametrize("field", ["parameter", "axis", "slot", "angle", "entry"])
+def test_integer_beyond_the_double_range_names_its_field(tmp_path, capsys, field):
+    # float() of a 401-digit JSON integer raises OverflowError, not ValueError
+    doc = {"model": "general_field", "j": "1", "params": {"a": 1.0, "b": 1.0, "c": 0.0}}
+    rotation = {"slot": 0, "axis": [0, 0, 1], "angle": "pi"}
+    if field == "parameter":
+        doc["params"]["a"] = BEYOND_DOUBLE
+    elif field == "axis":
+        rotation["axis"] = [0, 0, BEYOND_DOUBLE]
+    elif field == "slot":
+        rotation["slot"] = BEYOND_DOUBLE
+    elif field == "angle":
+        rotation["angle"] = BEYOND_DOUBLE
+    path = write_model(tmp_path, doc)
+    argv = ["verify", "--rotation", json.dumps(rotation), path]
+    if field == "entry":
+        entries = [[0.0, 0.0], [BEYOND_DOUBLE, 0.0], [1.0, 0.0], [0.0, 0.0]]
+        argv = ["search", write_model(tmp_path, {"dims": [2], "entries": entries}, "matrix.json")]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    expected = {
+        "parameter": f"error: {path}: parameter 'a' must be finite\n",
+        "axis": f"error: axis must be a finite 3-vector, got [0, 0, {BEYOND_DOUBLE}]\n",
+        "slot": f"error: slot {BEYOND_DOUBLE} out of range for 1 subsystems\n",
+        "angle": "error: angle must be finite\n",
+        "entry": "error: matrix entries must be finite\n",
+    }
+    assert err == expected[field]
+
+
+@pytest.mark.parametrize("family", ["crossed_fields", "crossed_fields_shifted", "general_field"])
+@pytest.mark.parametrize("twice_j", [1, 4, 12])
+def test_spectrum_checks_hermiticity_four_times(tmp_path, capsys, monkeypatch, family, twice_j):
+    # once each: the model as built, the partner's rotation generator, the
+    # eigensolve of H - shift and the polynomial's input
+    calls = []
+    original = linalg.require_hermitian
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "require_hermitian", counting)
+    params = {"a": 0.7, "b": -1.3, "c": 0.4}
+    if family == "crossed_fields":
+        del params["c"]
+    path = write_model(tmp_path, {"model": family, "j": twice_j / 2, "params": params})
+    code, _, _ = run_cli(capsys, "--format", "json", "spectrum", path)
+    assert code == 0
+    assert len(calls) == 4

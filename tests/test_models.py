@@ -80,6 +80,19 @@ def test_rejects_non_finite_parameters():
         CrossedFields("1", float("nan"), 1.0)
 
 
+@pytest.mark.parametrize("cls", list(models.MODEL_TAGS.values()), ids=list(models.MODEL_TAGS))
+def test_every_spec_rejects_boolean_and_non_finite_parameters(cls):
+    assert issubclass(cls, models.ModelSpec)
+    spins = {name: "1" for name in ("j", "j1", "j2") if name in cls.__dataclass_fields__}
+    names = models.parameter_names(cls)
+    for name in names:
+        for bad, message in ((True, "must be a number"), (float("nan"), "must be finite"),
+                             (-math.inf, "must be finite"), (10**400, "must be finite")):
+            kwargs = {**spins, **{n: 1.0 for n in names}, name: bad}
+            with pytest.raises(ValueError, match=f"parameter {name!r} {message}"):
+                cls(**kwargs)
+
+
 def test_shifted_hamiltonian_identity_when_no_shift():
     built = models.build(CrossedFields("1", 0.4, 0.9))
     assert built.shift == 0.0
@@ -233,7 +246,7 @@ def test_oh_field_sweep_stays_paired():
     for built in swept:
         eig = linalg.hermitian_eigensolve(built.hamiltonian)
         tol = 1e-9 * max(1.0, linalg.frobenius(built.hamiltonian))
-        assert pairing_check(eig.eigenvalues, tol, tol).is_chiral_paired
+        assert pairing_check(eig.eigenvalues, tol).is_chiral_paired
 
 
 def test_parse_model_documents():
