@@ -54,7 +54,6 @@ from .rotations import (
     CompositeRotation,
     RotationSpec,
     composite_matrix,
-    conjugate,
     rotation_identity_residual,
     rotation_matrix,
 )

@@ -181,7 +181,7 @@ def cmd_verify(args) -> int:
         and pairing.is_chiral_paired
     )
     lines = [
-        f"model: {tag} (dim {built.hamiltonian.shape[0]}, shift {_fmt(built.shift)})",
+        f"model: {tag} (dim {shifted.shape[0]}, shift {_fmt(built.shift)})",
         f"rotation: {rot.describe()}",
         f"verdict: {verdict.kind.value} "
         f"(commute residual {verdict.residual_commute:.3e}, "
@@ -194,7 +194,7 @@ def cmd_verify(args) -> int:
     ]
     payload = {
         "model": tag,
-        "dim": built.hamiltonian.shape[0],
+        "dim": shifted.shape[0],
         "shift": built.shift,
         "rotation": _rotation_payload(rot),
         "verdict": _verdict_payload(verdict),
@@ -209,7 +209,7 @@ def cmd_verify(args) -> int:
 
 def _spectrum_lines(tag, built, report, closed_phys, numeric_phys) -> list[str]:
     lines = [
-        f"model: {tag} (dim {built.hamiltonian.shape[0]}, shift {_fmt(built.shift)})",
+        f"model: {tag} (dim {built.shifted.shape[0]}, shift {_fmt(built.shift)})",
         f"method: {report.method.value}",
         f"parity_ok (shifted): {report.parity_ok}",
     ]
@@ -230,7 +230,7 @@ def cmd_spectrum(args) -> int:
     if args.method == "numeric":
         numeric = chiral.spectral_pairing(shifted)[0] + built.shift
         lines = [
-            f"model: {tag} (dim {built.hamiltonian.shape[0]})",
+            f"model: {tag} (dim {shifted.shape[0]})",
             "method: numeric_only (requested)",
             f"{'numeric':>16}",
         ]
@@ -254,7 +254,7 @@ def cmd_spectrum(args) -> int:
         closed_phys = [v + built.shift for v in report.closed_form_eigenvalues]
     if args.method == "radicals" and report.method is not charpoly.SolveMethod.RADICALS:
         reason = (
-            f"radicals unavailable for dim {built.hamiltonian.shape[0]}: "
+            f"radicals unavailable for dim {shifted.shape[0]}: "
             f"classifier says {report.method.value}"
             + ("" if report.parity_ok else " (characteristic polynomial is not even)")
         )
@@ -263,7 +263,7 @@ def cmd_spectrum(args) -> int:
     lines = _spectrum_lines(tag, built, report, closed_phys, numeric_phys)
     payload = {
         "model": tag,
-        "dim": built.hamiltonian.shape[0],
+        "dim": shifted.shape[0],
         "shift": built.shift,
         "method": report.method.value,
         "parity_ok": report.parity_ok,
@@ -290,6 +290,9 @@ def cmd_scan(args) -> int:
         raise ValueError(f"--steps must be between 1 and {SCAN_MAX_STEPS}, got {args.steps}")
     if not args.out:
         raise ValueError("scan writes CSV and requires --out PATH")
+    if not math.isfinite(args.stop - args.start):
+        raise ValueError("--from and --to must be finite and differ by a finite amount, "
+                         f"got {args.start!r} and {args.stop!r}")
     # step 1 runs before --out is opened, so a bad name, model or first value leaves no file
     solved = (_scan_step(spec, args.param, v) for v in np.linspace(args.start, args.stop, args.steps))
     first = next(solved)
@@ -501,8 +504,9 @@ def main(argv=None) -> int:
     defaults = argparse.Namespace(format="text", tol=chiral.DEFAULT_TOL, out=None)
     args = build_parser().parse_args(argv, defaults)
     try:
-        # numpy warns of the overflow that linalg.frobenius then rescales away
-        with np.errstate(over="ignore"):
+        # numpy warns of the overflow that linalg.frobenius rescales away and of
+        # the inf and nan of out-of-range parameters, which build then rejects
+        with np.errstate(over="ignore", invalid="ignore"):
             return args.func(args)
     except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,6 +14,7 @@ import numpy as np
 
 __all__ = [
     "EigenDecomposition",
+    "MAX_NORM",
     "anticommutator",
     "as_matrix",
     "commutator",
@@ -24,6 +25,13 @@ __all__ = [
     "require_hermitian",
     "unitary_exp",
 ]
+
+# The largest Frobenius norm a matrix may enter with. Up to
+# angmom.MAX_HILBERT_DIM = 1024 a unitary C has ||C||_F = sqrt(dim) <= 32, so
+# ||C||_F ||H||_F <= 2^1021; every entry of C H, [C, H], {C, H} and H + H^dagger
+# is at most 2 ||H||_F <= 2^1017, and an eigenvalue plus a shift of at most
+# MAX_NORM is at most 2^1017: all inside the double range (about 2^1024).
+MAX_NORM = 2.0 ** 1016
 
 
 def as_matrix(a) -> np.ndarray:
@@ -94,15 +102,15 @@ def kron(a, b) -> np.ndarray:
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(n, n)
 
 
-def hermitian_tolerance(a) -> float:
-    """Scale-relative Hermiticity acceptance threshold."""
-    return 1e-12 * max(1.0, frobenius(a))
-
-
 def require_hermitian(a, what: str = "matrix") -> np.ndarray:
+    """The matrix as ``as_matrix`` returns it, if its Frobenius norm is at
+    most ``MAX_NORM`` and it is Hermitian to 1e-12 max(1, ||A||_F)."""
     m = as_matrix(a)
+    norm = frobenius(m)
+    if not norm <= MAX_NORM:
+        raise ValueError(f"{what} has Frobenius norm {norm:.3e}, above the limit {MAX_NORM:.3e}")
     defect = frobenius(m - m.conj().T)
-    if defect > hermitian_tolerance(m):
+    if defect > 1e-12 * max(1.0, norm):
         raise ValueError(f"{what} is not Hermitian (defect {defect:.3e})")
     return m
 

@@ -57,7 +57,11 @@ class ModelSpec:
     """Base of the model specs: one frozen dataclass per family, whose
     fields are spin labels (``j``, ``j1``, ``j2``) and real parameters.
     Construction parses the labels and makes every parameter a finite float;
-    numeric parameters also accept the angle literals of ``parse_angle``."""
+    numeric parameters also accept the angle literals of ``parse_angle``.
+
+    ``assemble(ops)`` takes each slot's spin operators and returns H - shift*I
+    from the family's own algebra, the shift, the documented partner (None
+    when the family's condition fails) and a note on the condition."""
 
     tag: ClassVar[str]
 
@@ -88,13 +92,17 @@ class CrossedFields(ModelSpec):
 
     tag: ClassVar[str] = "crossed_fields"
 
+    def assemble(self, ops):
+        k = self.a * ops[0].jx + self.b * ops[0].jy
+        return k, 0.0, _partner((0, Z_AXIS, math.pi)), "a pi rotation about z flips both Jx and Jy"
+
 
 @dataclass(frozen=True)
 class CrossedFieldsShifted(ModelSpec):
     """a Jx + b Jy + c J^2: crossed fields plus the free rotational energy.
 
     The J^2 term is the constant c j(j+1) at fixed j, so it only shifts the
-    spectrum; the shifted Hamiltonian is the chiral-symmetric part.
+    spectrum; the shifted Hamiltonian a Jx + b Jy is the chiral-symmetric part.
     """
 
     j: SpinLabel
@@ -103,6 +111,12 @@ class CrossedFieldsShifted(ModelSpec):
     c: float
 
     tag: ClassVar[str] = "crossed_fields_shifted"
+
+    def assemble(self, ops):
+        tj = self.j.twice_j
+        k = self.a * ops[0].jx + self.b * ops[0].jy
+        return (k, self.c * tj * (tj + 2) / 4.0, _partner((0, Z_AXIS, math.pi)),
+                "c J^2 is the constant c j(j+1); the remainder is chiral")
 
 
 @dataclass(frozen=True)
@@ -117,12 +131,28 @@ class GeneralField(ModelSpec):
 
     tag: ClassVar[str] = "general_field"
 
+    def assemble(self, ops):
+        if self.a or self.b:
+            # scale (a, b) by the power of two nearest max(|a|, |b|) so that
+            # subnormal fields keep their digits; the axis changes only in
+            # components below about 1e-307
+            e = math.frexp(max(abs(self.a), abs(self.b)))[1]
+            a, b = math.ldexp(self.a, -e), math.ldexp(self.b, -e)
+            plane = math.hypot(a, b)
+            axis = (b / plane, -a / plane, 0.0)
+        else:
+            axis = X_AXIS  # field along z; any transverse axis works
+        k = self.a * ops[0].jx + self.b * ops[0].jy + self.c * ops[0].jz
+        return (k, 0.0, _partner((0, axis, math.pi)),
+                "a pi rotation about an axis perpendicular to (a, b, c) flips a.J")
+
 
 @dataclass(frozen=True)
 class TriaxialRotor(ModelSpec):
     """Jx^2/2Ix + Jy^2/2Iy + Jz^2/2Iz: rigid rotor with three moments of
-    inertia. Chiral only when 1/Ix + 1/Iy = 2/Iz, where the shifted
-    Hamiltonian collapses to D (Jx^2 - Jy^2)."""
+    inertia. Jz^2 = j(j+1) - Jx^2 - Jy^2 makes the shift j(j+1)/2Iz and the
+    remainder (1/2Ix - 1/2Iz) Jx^2 + (1/2Iy - 1/2Iz) Jy^2. Chiral only when
+    1/Ix + 1/Iy = 2/Iz, where the remainder collapses to D (Jx^2 - Jy^2)."""
 
     j: SpinLabel
     ix: float
@@ -136,6 +166,20 @@ class TriaxialRotor(ModelSpec):
         if min(self.ix, self.iy, self.iz) <= 0.0:
             raise ValueError("moments of inertia must be strictly positive")
 
+    def assemble(self, ops):
+        jx, jy, bz = ops[0].jx, ops[0].jy, 1.0 / (2.0 * self.iz)
+        k = (1.0 / (2.0 * self.ix) - bz) * (jx @ jx) + (1.0 / (2.0 * self.iy) - bz) * (jy @ jy)
+        residual = abs(1.0 / self.ix + 1.0 / self.iy - 2.0 / self.iz)
+        scale = max(1.0 / self.ix, 1.0 / self.iy, 1.0 / self.iz)
+        met = residual <= TRIAXIAL_CONDITION_RTOL * scale
+        note = (
+            f"|1/Ix + 1/Iy - 2/Iz| = {residual:.3e} "
+            f"(relative {residual / scale:.3e}); chiral requires it to vanish"
+        )
+        partner = _partner((0, Z_AXIS, math.pi / 2.0)) if met else None
+        tj = self.j.twice_j
+        return k, tj * (tj + 2) / 4.0 / (2.0 * self.iz), partner, note
+
 
 @dataclass(frozen=True)
 class ToyCoupled(ModelSpec):
@@ -147,6 +191,12 @@ class ToyCoupled(ModelSpec):
     B: float
 
     tag: ClassVar[str] = "toy_coupled"
+
+    def assemble(self, ops):
+        o1, o2 = ops
+        k = self.A * linalg.kron(o1.jy, o2.jy) + self.B * linalg.kron(o1.jz, o2.jz)
+        return (k, 0.0, _partner((0, Y_AXIS, math.pi), (1, Z_AXIS, math.pi)),
+                "rotating spin 1 about y and spin 2 about z flips both couplings")
 
 
 @dataclass(frozen=True)
@@ -162,6 +212,23 @@ class OHMolecule(ModelSpec):
     theta: float = math.pi / 4.0
 
     tag: ClassVar[str] = "oh_molecule"
+
+    def assemble(self, ops):
+        o1, o2 = ops
+        dims = subsystem_dims(self)
+        tilted = math.cos(self.theta) * o2.jz - math.sin(self.theta) * o2.jx
+        h = (
+            self.delta * embed(o1.jz, 0, dims)
+            + self.B * embed(o2.jz, 1, dims)
+            + self.E * linalg.kron(o1.jx, tilted)
+        )
+        return (h, 0.0, _partner((0, X_AXIS, math.pi), (1, Y_AXIS, math.pi)),
+                "pi about x on spin 1 and pi about y on spin 2 flips every term")
+
+
+def _partner(*factors) -> CompositeRotation:
+    """The product of one rotation per (slot, axis, angle) factor."""
+    return CompositeRotation(tuple(RotationSpec(*f) for f in factors))
 
 
 MODEL_TAGS = {
@@ -210,119 +277,53 @@ def parameter_names(spec) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class BuiltModel:
-    """A constructed Hamiltonian with its documented symmetry data.
-
-    ``shift`` is the constant removed so that the remainder anticommutes with
-    ``chiral_partner`` (zero for most families); ``chiral_condition_met``
-    records whether the family's symmetry condition holds for these
-    parameters, with the reason in ``condition_note``.
+    """A constructed model: ``shifted`` = H - shift*I, the part that
+    anticommutes with ``chiral_partner`` (the shift is zero for most
+    families), and its symmetry data. The partner is None when the family's
+    condition fails for these parameters, with the reason in ``condition_note``.
     """
 
     spec: ModelSpec
-    hamiltonian: np.ndarray
-    dims: tuple[int, ...]
+    shifted: np.ndarray
     shift: float
     chiral_partner: CompositeRotation | None
-    chiral_condition_met: bool
     condition_note: str
 
+    @property
+    def hamiltonian(self) -> np.ndarray:
+        if self.shift == 0.0:
+            return self.shifted
+        return self.shifted + self.shift * linalg.identity(self.shifted.shape[0])
 
-def _single(axis, angle) -> CompositeRotation:
-    return CompositeRotation((RotationSpec(0, axis, angle),))
+    @property
+    def dims(self) -> tuple[int, ...]:
+        return subsystem_dims(self.spec)
+
+    @property
+    def chiral_condition_met(self) -> bool:
+        return self.chiral_partner is not None
 
 
 def build(spec) -> BuiltModel:
-    """Assemble the Hamiltonian matrix, shift constant, and chiral partner."""
+    """Assemble H - shift*I, the shift constant, and the chiral partner; a
+    shift or a norm above ``linalg.MAX_NORM`` raises."""
     hilbert_dim(spec)
     ops = [build_spin_operators(label) for label in spin_labels(spec)]
-    dims = subsystem_dims(spec)
-    if isinstance(spec, CrossedFields):
-        h = spec.a * ops[0].jx + spec.b * ops[0].jy
-        built = BuiltModel(
-            spec, h, dims, 0.0, _single(Z_AXIS, math.pi), True,
-            "a pi rotation about z flips both Jx and Jy",
+    shifted, shift, partner, note = spec.assemble(ops)
+    if not abs(shift) <= linalg.MAX_NORM:
+        raise ValueError(
+            f"model {model_tag(spec)!r} has |shift| {abs(shift):.3e}, "
+            f"above the limit {linalg.MAX_NORM:.3e}"
         )
-    elif isinstance(spec, CrossedFieldsShifted):
-        h = spec.a * ops[0].jx + spec.b * ops[0].jy + spec.c * ops[0].jsq
-        shift = spec.c * spec.j.twice_j * (spec.j.twice_j + 2) / 4.0
-        built = BuiltModel(
-            spec, h, dims, shift, _single(Z_AXIS, math.pi), True,
-            "c J^2 is the constant c j(j+1); the remainder is chiral",
-        )
-    elif isinstance(spec, GeneralField):
-        h = spec.a * ops[0].jx + spec.b * ops[0].jy + spec.c * ops[0].jz
-        if spec.a or spec.b:
-            # scale (a, b) by the power of two nearest max(|a|, |b|) so that
-            # subnormal fields keep their digits; the axis changes only in
-            # components below about 1e-307
-            e = math.frexp(max(abs(spec.a), abs(spec.b)))[1]
-            a, b = math.ldexp(spec.a, -e), math.ldexp(spec.b, -e)
-            plane = math.hypot(a, b)
-            axis = (b / plane, -a / plane, 0.0)
-        else:
-            axis = X_AXIS  # field along z; any transverse axis works
-        built = BuiltModel(
-            spec, h, dims, 0.0, _single(axis, math.pi), True,
-            "a pi rotation about an axis perpendicular to (a, b, c) flips a.J",
-        )
-    elif isinstance(spec, TriaxialRotor):
-        jx, jy, jz = ops[0].jx, ops[0].jy, ops[0].jz
-        h = jx @ jx / (2.0 * spec.ix) + jy @ jy / (2.0 * spec.iy) + jz @ jz / (2.0 * spec.iz)
-        shift = spec.j.twice_j * (spec.j.twice_j + 2) / 4.0 / (2.0 * spec.iz)
-        residual = abs(1.0 / spec.ix + 1.0 / spec.iy - 2.0 / spec.iz)
-        scale = max(1.0 / spec.ix, 1.0 / spec.iy, 1.0 / spec.iz)
-        met = residual <= TRIAXIAL_CONDITION_RTOL * scale
-        note = (
-            f"|1/Ix + 1/Iy - 2/Iz| = {residual:.3e} "
-            f"(relative {residual / scale:.3e}); chiral requires it to vanish"
-        )
-        built = BuiltModel(
-            spec, h, dims, shift,
-            _single(Z_AXIS, math.pi / 2.0) if met else None, met, note,
-        )
-    elif isinstance(spec, ToyCoupled):
-        ops1, ops2 = ops
-        h = spec.A * linalg.kron(ops1.jy, ops2.jy) + spec.B * linalg.kron(ops1.jz, ops2.jz)
-        partner = CompositeRotation(
-            (RotationSpec(0, Y_AXIS, math.pi), RotationSpec(1, Z_AXIS, math.pi))
-        )
-        built = BuiltModel(
-            spec, h, dims, 0.0, partner, True,
-            "rotating spin 1 about y and spin 2 about z flips both couplings",
-        )
-    elif isinstance(spec, OHMolecule):
-        ops1, ops2 = ops
-        tilted = math.cos(spec.theta) * ops2.jz - math.sin(spec.theta) * ops2.jx
-        h = (
-            spec.delta * embed(ops1.jz, 0, dims)
-            + spec.B * embed(ops2.jz, 1, dims)
-            + spec.E * linalg.kron(ops1.jx, tilted)
-        )
-        partner = CompositeRotation(
-            (RotationSpec(0, X_AXIS, math.pi), RotationSpec(1, Y_AXIS, math.pi))
-        )
-        built = BuiltModel(
-            spec, h, dims, 0.0, partner, True,
-            "pi about x on spin 1 and pi about y on spin 2 flips every term",
-        )
-    else:
-        raise TypeError(f"unknown model spec {type(spec).__name__}")
-    linalg.require_hermitian(built.hamiltonian, "model Hamiltonian")
-    return built
+    linalg.require_hermitian(shifted, "model Hamiltonian")
+    return BuiltModel(spec, shifted, shift, partner, note)
 
 
 def shifted_hamiltonian(model: BuiltModel) -> np.ndarray:
-    """H - shift*I, the part that carries the chiral symmetry.
-
-    A remainder that vanishes to construction precision (the spherical rotor,
-    where D = 0) is returned as the exact zero matrix, so downstream
-    classification degenerates cleanly instead of amplifying round-off.
-    """
-    dim = model.hamiltonian.shape[0]
-    remainder = model.hamiltonian - model.shift * linalg.identity(dim)
-    if linalg.frobenius(remainder) <= 1e-12 * max(1.0, linalg.frobenius(model.hamiltonian)):
-        return np.zeros((dim, dim), dtype=np.complex128)
-    return remainder
+    """H - shift*I, the part that carries the chiral symmetry. The family
+    builds it directly, so a remainder that vanishes (the spherical rotor)
+    is the exact zero matrix."""
+    return model.shifted
 
 
 def parameter_sweep(spec, param_name: str, values) -> list[BuiltModel]:

@@ -20,7 +20,6 @@ __all__ = [
     "Y_AXIS",
     "Z_AXIS",
     "composite_matrix",
-    "conjugate",
     "parse_angle",
     "rotation_identity_residual",
     "rotation_matrix",
@@ -33,7 +32,6 @@ Z_AXIS = (0.0, 0.0, 1.0)
 
 # Axes within this slack of unit length are renormalized; worse are rejected.
 AXIS_NORM_SLACK = 1e-6
-UNITARY_TOL = 1e-8
 
 _ANGLE_LITERALS = {"pi": math.pi, "pi/2": math.pi / 2.0, "pi/4": math.pi / 4.0}
 _AXIS_NAMES = {X_AXIS: "x", Y_AXIS: "y", Z_AXIS: "z"}
@@ -164,18 +162,6 @@ def composite_matrix(rot: CompositeRotation, dims) -> np.ndarray:
     return out
 
 
-def conjugate(r, m) -> np.ndarray:
-    """R M R† with the conjugate transpose as the (exact, cheap) inverse."""
-    r = linalg.as_matrix(r)
-    m = linalg.as_matrix(m)
-    if r.shape != m.shape:
-        raise ValueError(f"dimension mismatch: {r.shape[0]} vs {m.shape[0]}")
-    defect = linalg.frobenius(r.conj().T @ r - linalg.identity(r.shape[0]))
-    if defect > UNITARY_TOL:
-        raise ValueError(f"conjugating operator is not unitary (defect {defect:.3e})")
-    return r @ m @ r.conj().T
-
-
 def rotation_identity_residual(axis, vec, theta, ops: SpinOperators) -> float:
     """Frobenius deviation of R_n(theta) (a.J) R_n(theta)† from its axis-angle
     expansion
@@ -191,7 +177,8 @@ def rotation_identity_residual(axis, vec, theta, ops: SpinOperators) -> float:
     if a.shape != (3,) or not np.all(np.isfinite(a)):
         raise ValueError(f"expected a finite 3-vector, got {vec!r}")
     theta = parse_angle(theta)
-    lhs = conjugate(linalg.unitary_exp(ops.along(n), theta), ops.along(a))
+    r = linalg.unitary_exp(ops.along(n), theta)
+    lhs = r @ ops.along(a) @ r.conj().T
     rhs = (
         math.cos(theta) * ops.along(a)
         + math.sin(theta) * ops.along(np.cross(n, a))

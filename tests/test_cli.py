@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from chiralspin import cli, linalg, models
 from chiralspin.chiral import default_pairing_tol
 
-from helpers import FAMILIES, chiral_model_at_dim, reference_charpoly, write_model
+from helpers import FAMILIES, chiral_model_at_dim, random_chiral_model, reference_charpoly, write_model
 
 
 def run_cli(capsys, *argv):
@@ -902,3 +903,110 @@ def test_spectrum_checks_hermiticity_four_times(tmp_path, capsys, monkeypatch, f
     code, _, _ = run_cli(capsys, "--format", "json", "spectrum", path)
     assert code == 0
     assert len(calls) == 4
+
+
+# H - shift small beside 1e-12 max(1, ||H||_F): the family builds it exactly,
+# so it keeps its spectrum and its partner
+SMALL_CHIRAL_PARTS = [
+    pytest.param({"model": "crossed_fields", "j": "1/2", "params": {"a": 1e-13, "b": 0}},
+                 [-5e-14, 5e-14], id="crossed-tiny"),
+    pytest.param({"model": "general_field", "j": "1", "params": {"a": 0, "b": 0, "c": 1e-13}},
+                 [-1e-13, 0.0, 1e-13], id="general-tiny"),
+    pytest.param({"model": "crossed_fields_shifted", "j": "1/2", "params": {"a": 1, "b": 0, "c": 1e13}},
+                 [7499999999999.5, 7500000000000.5], id="shifted-huge-c"),
+]
+
+
+@pytest.mark.parametrize("doc, eigenvalues", SMALL_CHIRAL_PARTS)
+def test_small_chiral_part_keeps_its_spectrum_and_partner(tmp_path, capsys, doc, eigenvalues):
+    path = write_model(tmp_path, doc)
+    code, out, err = run_cli(capsys, "--format", "json", "spectrum", path, "--method", "numeric")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["eigenvalues_numeric"] == pytest.approx(eigenvalues, rel=1e-12, abs=0.0)
+    code, out, err = run_cli(capsys, "--format", "json", "verify", path)
+    assert (code, err) == (0, "")
+    verdict = json.loads(out)
+    assert verdict["verdict"]["kind"] == "anticommuting"
+    code, out, err = run_cli(capsys, "--format", "json", "search", path)
+    assert (code, err) == (0, "")
+    assert verdict["rotation"]["description"] in [hit["description"] for hit in json.loads(out)["hits"]]
+
+
+@pytest.mark.filterwarnings("error")
+def test_matrix_above_the_norm_limit_exits_2(tmp_path, capsys):
+    # ||H||_F = inf made the Hermiticity tolerance inf; at unit scale the
+    # same matrix is refused as not Hermitian
+    for scale, reason in ((1.7e308, "matrix has Frobenius norm inf, above the limit"),
+                          (1.0, "matrix is not Hermitian")):
+        path = tmp_path / "matrix.json"
+        path.write_text(json.dumps({"dims": [2], "entries": [[scale, 0], [1, 0], [5, 0], [-scale, 0]]}))
+        code, out, err = run_cli(capsys, "search", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and reason in err, err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("c, argv", [
+    (1e308, ["spectrum", "MODEL"]), (1e308, ["charpoly", "MODEL"]), (8e307, ["--format", "json", "verify", "MODEL"]),
+    (1e308, ["--out", "x.csv", "scan", "MODEL", "--param", "c", "--from", "1e308", "--to", "1e308", "--steps", "2"]),
+], ids=["spectrum", "charpoly", "verify", "scan"])
+def test_model_above_the_norm_limit_exits_2(tmp_path, capsys, monkeypatch, c, argv):
+    monkeypatch.chdir(tmp_path)
+    path = write_model(tmp_path, {"model": "general_field", "j": "1", "params": {"a": 0, "b": 0, "c": c}})
+    code, out, err = run_cli(capsys, *[path if arg == "MODEL" else arg for arg in argv])
+    assert (code, out) == (2, "")
+    assert err == f"error: model Hamiltonian has Frobenius norm {c * math.sqrt(2):.3e}, above the limit 7.022e+305\n"
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("doc, grid, reason", [
+    ({"model": "triaxial_rotor", "j": "5/2", "params": {"ix": 1, "iy": 1, "iz": 5e-324}}, None,
+     "model 'triaxial_rotor' has |shift| inf, above the limit 7.022e+305"),
+    ({"model": "crossed_fields_shifted", "j": "1", "params": {"a": 1, "b": 0, "c": -8e307}}, None,
+     "model 'crossed_fields_shifted' has |shift| inf, above the limit 7.022e+305"),
+    ({"model": "general_field", "j": "1", "params": {"a": 1, "b": 0, "c": 0}}, ["--from", "inf", "--to", "1"],
+     "--from and --to must be finite and differ by a finite amount, got inf and 1.0"),
+    ({"model": "general_field", "j": "1", "params": {"a": 1, "b": 0, "c": 0}}, ["--from=1e308", "--to=-1e308"],
+     "--from and --to must be finite and differ by a finite amount, got 1e+308 and -1e+308"),
+], ids=["rotor-subnormal-iz", "shifted-huge-negative-c", "scan-from-inf", "scan-overflowing-range"])
+def test_out_of_range_input_exits_2_without_warnings(tmp_path, capsys, doc, grid, reason):
+    path = write_model(tmp_path, doc)
+    if grid is None:
+        code, out, err = run_cli(capsys, "verify", path)
+    else:
+        code, out, err = run_cli(capsys, "--out", str(tmp_path / "x.csv"), "scan", path,
+                                 "--param", "c", *grid, "--steps", "3")
+    assert (code, out, err) == (2, "", f"error: {reason}\n")
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_every_magnitude_ends_in_an_answer_or_a_clean_exit(tmp_path, capsys, family):
+    # one drawn model per family, its parameters (not the OH angle) scaled
+    # from the smallest subnormal to near the largest double
+    rng = np.random.default_rng(FAMILIES.index(family))
+    spec = random_chiral_model(rng, family, max_twice_j=6, coupled_max=3)
+    for magnitude in (5e-324, 1e-300, 1e-13, 1.0, 1e300, 1e307, 1.7e308):
+        doc = {"model": family, "params": {
+            name: getattr(spec, name) * (1.0 if name == "theta" else magnitude)
+            for name in models.parameter_names(spec)}}
+        doc.update({name: str(getattr(spec, name)) for name in ("j", "j1", "j2") if hasattr(spec, name)})
+        path = write_model(tmp_path, doc)
+        for argv in (["verify", path], ["spectrum", path, "--method", "numeric"], ["search", path]):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code, out, err = run_cli(capsys, "--format", "json", *argv)
+            assert not caught, (magnitude, argv[0], caught[0].message)
+            assert code in (0, 1, 2), (magnitude, argv[0])
+            payload = json.loads(out, parse_constant=_reject_constant) if out else None
+            if code == 0 and argv[0] == "spectrum":
+                # numpy warns of the sum of squares that frobenius rescales
+                with np.errstate(over="ignore"):
+                    built = models.build(models.parse_model(doc))
+                want = np.linalg.eigvalsh(built.shifted) + built.shift
+                got = np.array(payload["eigenvalues_numeric"])
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), magnitude

@@ -285,3 +285,14 @@ def test_kron_mixed_product(rng):
     d = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     lhs = linalg.kron(a, b) @ linalg.kron(c, d)
     assert np.max(np.abs(lhs - linalg.kron(a @ c, b @ d))) < 1e-12
+
+
+def test_require_hermitian_bounds_the_norm():
+    # at MAX_NORM the sums and products downstream stay finite; past it,
+    # and at a norm that overflows to inf, the matrix is refused. numpy warns
+    # of the sum of squares that frobenius then rescales
+    with np.errstate(over="ignore"):
+        assert linalg.require_hermitian(np.diag([linalg.MAX_NORM, 0.0])) is not None
+        for big in (2.0 * linalg.MAX_NORM, 1.7e308):
+            with pytest.raises(ValueError, match="Frobenius norm .* above the limit"):
+                linalg.require_hermitian(np.diag([big, -big]), "H")

@@ -124,6 +124,35 @@ def test_shift_moves_whole_spectrum():
     assert np.max(np.abs(es - (ep + c1))) < 1e-10
 
 
+def test_triaxial_hamiltonian_adds_the_shift_back(rng):
+    for spec in (random_chiral_model(rng, "triaxial_rotor"), TriaxialRotor("3/2", 0.4, 1.3, 2.2)):
+        built = models.build(spec)
+        ops = build_spin_operators(spec.j)
+        expected = (ops.jx @ ops.jx / (2.0 * spec.ix) + ops.jy @ ops.jy / (2.0 * spec.iy)
+                    + ops.jz @ ops.jz / (2.0 * spec.iz))
+        assert np.max(np.abs(built.hamiltonian - expected)) < 1e-12 * linalg.frobenius(expected)
+        assert built.chiral_condition_met is (built.chiral_partner is not None)
+        assert built.dims == (spec.j.dim,)
+
+
+@pytest.mark.parametrize("twice_j", [1, 2, 3, 64, 1023])
+def test_vanishing_chiral_part_is_exactly_zero(twice_j):
+    # the spherical rotor and c J^2 alone are pure shifts at every size
+    label = SpinLabel(twice_j)
+    for spec in (TriaxialRotor(label, 0.7, 0.7, 0.7), CrossedFieldsShifted(label, 0.0, 0.0, 1.3)):
+        built = models.build(spec)
+        assert built.shift > 0.0
+        assert not models.shifted_hamiltonian(built).any()
+
+
+def test_shift_above_the_norm_limit_is_refused():
+    with pytest.raises(ValueError, match=r"\|shift\| 2\.000e\+307, above the limit"):
+        models.build(CrossedFieldsShifted("1", 1.0, 0.0, -1e307))
+    # 1/2Iz overflows to inf, and inf - inf in the rotor's coefficients is nan
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match=r"\|shift\| inf, above the limit"):
+        models.build(TriaxialRotor("5/2", 1.0, 1.0, 5e-324))
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 def test_hamiltonians_are_hermitian(family, rng):
     for _ in range(5):

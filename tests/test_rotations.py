@@ -10,7 +10,6 @@ from chiralspin.rotations import (
     CompositeRotation,
     RotationSpec,
     composite_matrix,
-    conjugate,
     parse_angle,
     rotation_identity_residual,
     rotation_matrix,
@@ -116,29 +115,6 @@ def test_describe():
     )
     assert rot.describe() == "R[0,y](pi) * R[1,z](pi/2)"
     assert CompositeRotation(()).describe() == "identity"
-
-
-def test_conjugate_flips_transverse_component():
-    ops = build_spin_operators("1")
-    r = rotation_matrix(RotationSpec(0, (0, 0, 1), "pi"), ops)
-    assert np.allclose(conjugate(r, ops.jx), -ops.jx, atol=1e-13)
-
-
-def test_conjugate_by_identity():
-    m = np.array([[1.0, 2.0], [2.0, -1.0]], dtype=complex)
-    assert np.allclose(conjugate(np.eye(2), m), m, atol=1e-15)
-
-
-def test_conjugate_quarter_turn_swaps_axes():
-    ops = build_spin_operators("3/2")
-    r = rotation_matrix(RotationSpec(0, (0, 0, 1), "pi/2"), ops)
-    assert np.allclose(conjugate(r, ops.jx), ops.jy, atol=1e-12)
-    assert np.allclose(conjugate(r, ops.jy), -ops.jx, atol=1e-12)
-
-
-def test_conjugate_rejects_non_unitary():
-    with pytest.raises(ValueError, match="unitary"):
-        conjugate(np.diag([2.0, 1.0]), np.eye(2))
 
 
 def test_identity_residual_zero_angle():
