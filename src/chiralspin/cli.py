@@ -10,6 +10,7 @@ human-readable tables use 6.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -276,12 +277,11 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
-def _scan_step(spec, param, value):
-    """Build the model at ``param = value`` and pair the spectrum of
-    H - shift: (value, physical eigenvalues, pairing report)."""
-    built = models.parameter_sweep(spec, param, [value])[0]
+def _scan_step(built, param):
+    """Pair the spectrum of one scanned model's H - shift: (parameter
+    value, physical eigenvalues, pairing report)."""
     eigs, report = chiral.spectral_pairing(models.shifted_hamiltonian(built))
-    return float(value), eigs + built.shift, report
+    return getattr(built.spec, param), eigs + built.shift, report
 
 
 def cmd_scan(args) -> int:
@@ -294,7 +294,8 @@ def cmd_scan(args) -> int:
         raise ValueError("--from and --to must be finite and differ by a finite amount, "
                          f"got {args.start!r} and {args.stop!r}")
     # step 1 runs before --out is opened, so a bad name, model or first value leaves no file
-    solved = (_scan_step(spec, args.param, v) for v in np.linspace(args.start, args.stop, args.steps))
+    grid = np.linspace(args.start, args.stop, args.steps)
+    solved = (_scan_step(built, args.param) for built in models.iter_parameter_sweep(spec, args.param, grid))
     first = next(solved)
     header = (
         ["param", args.param]
@@ -500,9 +501,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first ``main`` call rather than at import and
+    shared by every later call: ``parse_args`` keeps what it parses in the
+    namespace it is given, not in the parser."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     defaults = argparse.Namespace(format="text", tol=chiral.DEFAULT_TOL, out=None)
-    args = build_parser().parse_args(argv, defaults)
+    args = _parser().parse_args(argv, defaults)
     try:
         # numpy warns of the overflow that linalg.frobenius rescales away and of
         # the inf and nan of out-of-range parameters, which build then rejects

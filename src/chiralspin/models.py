@@ -36,6 +36,7 @@ __all__ = [
     "TriaxialRotor",
     "build",
     "hilbert_dim",
+    "iter_parameter_sweep",
     "load_model_file",
     "model_tag",
     "parameter_names",
@@ -167,8 +168,21 @@ class TriaxialRotor(ModelSpec):
             raise ValueError("moments of inertia must be strictly positive")
 
     def assemble(self, ops):
-        jx, jy, bz = ops[0].jx, ops[0].jy, 1.0 / (2.0 * self.iz)
-        k = (1.0 / (2.0 * self.ix) - bz) * (jx @ jx) + (1.0 / (2.0 * self.iy) - bz) * (jy @ jy)
+        tj = self.j.twice_j
+        jj = tj * (tj + 2) / 4.0
+        shift = _require_shift(self, jj / (2.0 * self.iz))
+        # no entry of Jx^2 or Jy^2 exceeds j(j+1), so with each 1/2I j(j+1)
+        # at most 2^1022 both products and their sum stay finite; a rotor
+        # outside that bound has ||H - shift||_F above linalg.MAX_NORM anyway
+        bx, by, bz = (1.0 / (2.0 * i) for i in (self.ix, self.iy, self.iz))
+        for name, b in (("ix", bx), ("iy", by), ("iz", bz)):
+            if not (math.isfinite(b) and b * jj <= 2.0 ** 1022):
+                raise ValueError(
+                    f"parameter {name!r} = {getattr(self, name):.3e} is too small: "
+                    f"1/2{name} = {b:.3e} overflows the rotor terms at j = {self.j}"
+                )
+        jx, jy = ops[0].jx, ops[0].jy
+        k = (bx - bz) * (jx @ jx) + (by - bz) * (jy @ jy)
         residual = abs(1.0 / self.ix + 1.0 / self.iy - 2.0 / self.iz)
         scale = max(1.0 / self.ix, 1.0 / self.iy, 1.0 / self.iz)
         met = residual <= TRIAXIAL_CONDITION_RTOL * scale
@@ -177,8 +191,7 @@ class TriaxialRotor(ModelSpec):
             f"(relative {residual / scale:.3e}); chiral requires it to vanish"
         )
         partner = _partner((0, Z_AXIS, math.pi / 2.0)) if met else None
-        tj = self.j.twice_j
-        return k, tj * (tj + 2) / 4.0 / (2.0 * self.iz), partner, note
+        return k, shift, partner, note
 
 
 @dataclass(frozen=True)
@@ -304,19 +317,34 @@ class BuiltModel:
         return self.chiral_partner is not None
 
 
-def build(spec) -> BuiltModel:
-    """Assemble H - shift*I, the shift constant, and the chiral partner; a
-    shift or a norm above ``linalg.MAX_NORM`` raises."""
-    hilbert_dim(spec)
-    ops = [build_spin_operators(label) for label in spin_labels(spec)]
-    shifted, shift, partner, note = spec.assemble(ops)
+def _require_shift(spec, shift: float) -> float:
     if not abs(shift) <= linalg.MAX_NORM:
         raise ValueError(
             f"model {model_tag(spec)!r} has |shift| {abs(shift):.3e}, "
             f"above the limit {linalg.MAX_NORM:.3e}"
         )
+    return shift
+
+
+def _assembled(spec, ops) -> BuiltModel:
+    """The model from its slots' spin operators; a shift or a norm above
+    ``linalg.MAX_NORM`` raises."""
+    shifted, shift, partner, note = spec.assemble(ops)
+    _require_shift(spec, shift)
     linalg.require_hermitian(shifted, "model Hamiltonian")
     return BuiltModel(spec, shifted, shift, partner, note)
+
+
+def _slot_operators(spec):
+    """One ``build_spin_operators`` per slot, after the size check."""
+    hilbert_dim(spec)
+    return [build_spin_operators(label) for label in spin_labels(spec)]
+
+
+def build(spec) -> BuiltModel:
+    """Assemble H - shift*I, the shift constant, and the chiral partner; a
+    shift or a norm above ``linalg.MAX_NORM`` raises."""
+    return _assembled(spec, _slot_operators(spec))
 
 
 def shifted_hamiltonian(model: BuiltModel) -> np.ndarray:
@@ -326,15 +354,24 @@ def shifted_hamiltonian(model: BuiltModel) -> np.ndarray:
     return model.shifted
 
 
-def parameter_sweep(spec, param_name: str, values) -> list[BuiltModel]:
-    """Rebuild the model at each value of one real parameter."""
+def iter_parameter_sweep(spec, param_name: str, values):
+    """Yield the model at each value of one real parameter. The name and
+    size checks and the spin operators are done once, before the first
+    model; only the parameter changes between models."""
     names = parameter_names(spec)
     if param_name not in names:
         raise ValueError(
             f"unknown parameter {param_name!r} for model {model_tag(spec)!r}; "
             f"expected one of: {', '.join(names)}"
         )
-    return [build(dataclasses.replace(spec, **{param_name: float(v)})) for v in values]
+    ops = _slot_operators(spec)
+    for v in values:
+        yield _assembled(dataclasses.replace(spec, **{param_name: float(v)}), ops)
+
+
+def parameter_sweep(spec, param_name: str, values) -> list[BuiltModel]:
+    """Rebuild the model at each value of one real parameter."""
+    return list(iter_parameter_sweep(spec, param_name, values))
 
 
 def parse_model(doc) -> ModelSpec:

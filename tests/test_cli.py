@@ -544,6 +544,31 @@ def test_scan_memory_does_not_grow_with_steps(tmp_path, capsys):
     assert len((tmp_path / "x.csv").read_text().splitlines()) == 1001
 
 
+def test_scan_builds_each_slots_operators_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    real = models.build_spin_operators
+    monkeypatch.setattr(models, "build_spin_operators", lambda label: calls.append(label) or real(label))
+    path = write_model(tmp_path, {"model": "toy_coupled", "j1": "3/2", "j2": "2", "params": {"A": 1, "B": 0.5}})
+    code, out, err = run_cli(capsys, "--out", str(tmp_path / "x.csv"), "scan", path,
+                             "--param", "A", "--from", "-1", "--to", "1", "--steps", "33")
+    assert (code, err) == (0, "")
+    assert len((tmp_path / "x.csv").read_text().splitlines()) == 34
+    assert [str(label) for label in calls] == ["3/2", "2"]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("params, name", [
+    ({"ix": 5e-324, "iy": 1, "iz": 1}, "ix"),
+    ({"ix": 1e-310, "iy": 1, "iz": 1}, "ix"),
+    ({"ix": 1, "iy": 5e-324, "iz": 1}, "iy"),
+])
+def test_overflowing_moment_of_inertia_exits_2_naming_it(tmp_path, capsys, params, name):
+    path = write_model(tmp_path, {"model": "triaxial_rotor", "j": "5/2", "params": params})
+    code, out, err = run_cli(capsys, "verify", path)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: parameter '{name}' = ") and "is too small" in err, err
+
+
 @pytest.mark.parametrize("a, b", [(7e-320, 7e-320), (5e-324, 3e-323)])
 def test_subnormal_transverse_field_keeps_a_unit_partner_axis(tmp_path, capsys, a, b):
     path = write_model(tmp_path, {"model": "general_field", "j": "1", "params": {"a": a, "b": b, "c": -1}})

@@ -105,6 +105,53 @@ def test_spectrum_methods_share_the_numeric_spectrum(tmp_path, monkeypatch, name
     assert printed[0] == printed[1]
 
 
+def test_shared_parser_keeps_no_state_between_commands(tmp_path, monkeypatch):
+    # one process, one parser: flags, a usage error and its partial parse
+    # must not carry over into the next command
+    _write_fixtures(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    flagged = _run(["--format", "json", "--tol", "1e-3", "--out", "flagged.json", "verify", "general_field.json"])
+    assert flagged == "exit 0\n--- stdout\n--- stderr\n"
+    assert json.loads((tmp_path / "flagged.json").read_text())["verified"] is True
+    assert _run(["verify", "general_field.json"]) == (GOLDEN / "verify-general_field.text.out").read_text()
+    with pytest.raises(SystemExit) as exc:
+        _run(["spectrum", "general_field.json", "--method", "bogus"])
+    assert exc.value.code == 2
+    assert _run(["spectrum", "general_field.json"]) == (GOLDEN / "spectrum-general_field.text.out").read_text()
+
+
+def test_parser_is_built_once_per_process(tmp_path, monkeypatch):
+    _write_fixtures(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    cli._parser.cache_clear()
+    try:
+        for argv in (["verify", "general_field.json"], ["--format", "json", "charpoly", "toy_coupled.json"],
+                     ["spectrum", "oh_molecule.json", "--method", "numeric"], ["search", "jx_matrix.json"]):
+            assert _run(argv).startswith("exit 0\n")
+        assert built == [1]
+    finally:
+        cli._parser.cache_clear()
+
+
+@pytest.mark.parametrize("command", [None, "ops", "verify", "spectrum", "scan", "search", "charpoly"])
+def test_help_matches_a_freshly_built_parser(command):
+    argv = ["--help"] if command is None else [command, "--help"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["--format", "json", "ops", "--j", "1", "--which", "jx"]) == 0  # use the shared parser first
+    texts = []
+    for parse in (cli.main, cli.build_parser().parse_args):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exc:
+            parse(argv)
+        assert exc.value.code == 0
+        texts.append(out.getvalue())
+    assert texts[0] == texts[1]
+    assert "usage: chiralspin" in texts[0]
+
+
 NUMBER = re.compile(r"-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -148,9 +149,52 @@ def test_vanishing_chiral_part_is_exactly_zero(twice_j):
 def test_shift_above_the_norm_limit_is_refused():
     with pytest.raises(ValueError, match=r"\|shift\| 2\.000e\+307, above the limit"):
         models.build(CrossedFieldsShifted("1", 1.0, 0.0, -1e307))
-    # 1/2Iz overflows to inf, and inf - inf in the rotor's coefficients is nan
-    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match=r"\|shift\| inf, above the limit"):
+    # 1/2Iz overflows to inf; the shift is refused before any matrix product
+    with pytest.raises(ValueError, match=r"\|shift\| inf, above the limit"):
         models.build(TriaxialRotor("5/2", 1.0, 1.0, 5e-324))
+
+
+@pytest.mark.parametrize("j, ix, iy, iz, name", [
+    ("5/2", 5e-324, 1.0, 1.0, "ix"),
+    ("5/2", 1e-310, 1.0, 1.0, "ix"),
+    ("5/2", 1e-308, 1.0, 1.0, "ix"),  # 1/2Ix is finite, Jx^2 times it is not
+    ("5/2", 1.0, 5e-324, 1.0, "iy"),
+    ("1/2", 1.0, 1e-310, 1.0, "iy"),
+    ("0", 5e-324, 1.0, 1.0, "ix"),
+    ("0", 1.0, 1.0, 5e-324, "iz"),  # the shift is 0 at j = 0
+])
+def test_overflowing_moment_of_inertia_names_the_parameter(j, ix, iy, iz, name):
+    # warnings are errors here, so a nan or inf product would fail first
+    with pytest.raises(ValueError, match=rf"^parameter '{name}' = .* is too small: 1/2{name} = "):
+        models.build(TriaxialRotor(j, ix, iy, iz))
+
+
+@pytest.mark.parametrize("twice_j", [1, 2, 3, 5, 14])
+def test_rotor_refused_as_too_small_is_above_the_norm_limit(twice_j):
+    # the coefficient check refuses only rotors whose H - shift is above
+    # linalg.MAX_NORM: rebuild each refused one at 2^-600 scale and measure it
+    jj = twice_j * (twice_j + 2) / 4.0
+    ops = build_spin_operators(SpinLabel(twice_j))
+    x2, y2 = ops.jx @ ops.jx, ops.jy @ ops.jy
+    iz_min = jj / (2.0 * linalg.MAX_NORM) * 1.001  # the smallest iz the shift allows
+    edge = jj / 2.0 ** 1023  # where 1/2I j(j+1) reaches 2^1022
+    refused = 0
+    for factor in (0.5, 0.999, 1.001, 1.5, 2.0 ** 4, 2.0 ** 10):
+        for iz in (iz_min, 1.0):
+            for ix, iy in ((edge * factor, 1.0), (edge * factor, iz), (1.0, edge * factor)):
+                try:
+                    # numpy warns of the sum of squares that frobenius rescales
+                    with np.errstate(over="ignore"):
+                        models.build(TriaxialRotor(SpinLabel(twice_j), ix, iy, iz))
+                    continue
+                except ValueError as exc:
+                    if "too small" not in str(exc):
+                        continue
+                refused += 1
+                s = 2.0 ** -600
+                k = (s / (2 * ix) - s / (2 * iz)) * x2 + (s / (2 * iy) - s / (2 * iz)) * y2
+                assert linalg.frobenius(k) / s > linalg.MAX_NORM
+    assert refused >= 12
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -268,6 +312,20 @@ def test_parameter_sweep_unknown_name():
         models.parameter_sweep(GeneralField("1", 1.0, 2.0, 3.0), "d", [0.0])
     with pytest.raises(ValueError, match="unknown parameter"):
         models.parameter_sweep(GeneralField("1", 1.0, 2.0, 3.0), "j", [0.0])
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_parameter_sweep_equals_build_of_each_value(family, rng):
+    spec = random_chiral_model(rng, family, max_twice_j=6, coupled_max=3)
+    for name in models.parameter_names(spec):
+        value = getattr(spec, name)
+        values = [value, 0.5 * value + 0.25, 2.0 * value]
+        for swept, v in zip(models.parameter_sweep(spec, name, values), values, strict=True):
+            built = models.build(dataclasses.replace(spec, **{name: v}))
+            assert swept.spec == built.spec
+            assert swept.shifted.tobytes() == built.shifted.tobytes()
+            assert (swept.shift, swept.chiral_partner, swept.condition_note) == (
+                built.shift, built.chiral_partner, built.condition_note)
 
 
 def test_oh_field_sweep_stays_paired():
