@@ -30,8 +30,6 @@ from .chiral import (
 )
 from .linalg import (
     EigenDecomposition,
-    anticommutator,
-    commutator,
     hermitian_eigensolve,
     kron,
     unitary_exp,

@@ -246,7 +246,7 @@ def classify_solvability(dim: int, chiral: bool) -> SolveMethod:
 class PolySolveReport:
     """Everything the polynomial pipeline produced for one Hamiltonian."""
 
-    charpoly: CharPoly | None  # None when its coefficients could overflow
+    charpoly: CharPoly | None  # None when a coefficient would leave the double range
     parity_ok: bool
     zero_root_multiplicity: int
     reduced: ReducedPoly | None
@@ -254,6 +254,7 @@ class PolySolveReport:
     closed_form_eigenvalues: tuple[float, ...] | None
     numeric_eigenvalues: tuple[float, ...]
     max_root_deviation: float | None
+    charpoly_unavailable: str | None  # why charpoly is None
 
 
 def _cluster_means(values, numeric, tol) -> list[float]:
@@ -273,10 +274,15 @@ def full_solve(h, partner=None) -> PolySolveReport:
 
     Parity and the zero-root count are ``spectral_pairing``'s, the rule of
     ``verify`` and ``scan``; the route is ``classify_solvability`` of the
-    degree, halved after the zero roots when paired. The polynomial is built
-    on H / 2^e, 2^e nearest ||H||_F, with coefficient k rescaled exactly by
-    2^(e(n-k)); as |c_k| <= prod(1 + |lambda_i|), nothing is built, and the
-    route is numeric_only, when that product leaves the double range. A root
+    degree, halved after the zero roots when paired. Every |c_k| is at most
+    prod(1 + |lambda_i|), and the lowest coefficient that is not a zero root
+    is +-prod |lambda_i| over the nonzero roots; when the first leaves the
+    double range or the second falls below its smallest normal number,
+    nothing is built, the route is numeric_only and ``charpoly_unavailable``
+    says why. Otherwise the polynomial is built on H / 2^e, 2^e nearest
+    ||H||_F or lower where the nonzero roots of H / 2^e would multiply to
+    below the smallest normal number, and coefficient k is rescaled exactly
+    by 2^(e(n-k)). A root
     of multiplicity m moves by the m-th root of the coefficient error but the
     mean of its cluster in the numeric spectrum only by that error, so each
     closed form, in mu = lambda^2 when paired, is its cluster's mean.
@@ -293,8 +299,15 @@ def full_solve(h, partner=None) -> PolySolveReport:
             raise SpectrumInconsistencyError(
                 "anticommuting partner supplied but the spectrum is not mirror-paired"
             )
-    fits = math.fsum(np.log1p(np.abs(eigenvalues))) <= math.log(np.finfo(float).max)
-    if not fits:
+    mags = np.sort(np.abs(eigenvalues))
+    low = math.fsum(np.log2(mags[zeros:]))  # log2 prod |lambda| over the nonzero roots
+    unavailable = None
+    if math.fsum(np.log1p(mags)) > math.log(np.finfo(float).max):
+        unavailable = "prod(1 + |lambda|) bounds its coefficients and exceeds the double range"
+    elif low < np.finfo(float).minexp:
+        unavailable = (f"the product of its {n - zeros} nonzero roots, 2^{low:.1f}, "
+                       "is below the smallest normal double")
+    if unavailable:
         method = SolveMethod.NUMERIC_ONLY
     elif parity_ok:
         # H = 0 leaves no nonzero root, which radicals solve trivially
@@ -302,9 +315,13 @@ def full_solve(h, partner=None) -> PolySolveReport:
     else:
         method = classify_solvability(n, chiral=False)
     poly = reduced = closed = deviation = None
-    if fits:
+    if not unavailable:
         norm = math.hypot(*numeric)  # ||H||_F, free of overflow and underflow
         e = round(math.log2(norm)) if norm else 0
+        if zeros < n:
+            # as prod |lambda| is normal, a lowered e is still >= 0, so every
+            # |lambda / 2^e| <= |lambda| and the top bound holds here too
+            e = min(e, math.floor((low - np.finfo(float).minexp) / (n - zeros)))
         scaled = characteristic_polynomial(np.ldexp(h.real, -e) + 1j * np.ldexp(h.imag, -e)).coeffs
         poly = CharPoly(tuple(math.ldexp(c, e * (n - k)) for k, c in enumerate(scaled)))
         reduced = ReducedPoly(zeros, poly.coeffs[zeros::2]) if parity_ok else None
@@ -318,4 +335,4 @@ def full_solve(h, partner=None) -> PolySolveReport:
             roots = _cluster_means(real_roots_closed_form(scaled), numeric, tol)
         closed = tuple(math.ldexp(x, e) for x in roots)
         deviation = max((abs(c - x) for c, x in zip(closed, numeric)), default=0.0)
-    return PolySolveReport(poly, parity_ok, zeros, reduced, method, closed, numeric, deviation)
+    return PolySolveReport(poly, parity_ok, zeros, reduced, method, closed, numeric, deviation, unavailable)

@@ -63,7 +63,9 @@ def classify(c, h, tol: float = DEFAULT_TOL) -> SymmetryVerdict:
     C H and H C are formed once and serve both residuals. The norms in the
     denominator are those of C and H as passed, so a real array's norm is
     summed in its own dtype."""
-    cm, hm = linalg._conforming(c, h)
+    cm, hm = linalg.as_matrix(c), linalg.as_matrix(h)
+    if cm.shape != hm.shape:
+        raise ValueError(f"dimension mismatch: {cm.shape[0]} vs {hm.shape[0]}")
     ch = cm @ hm
     hc = hm @ cm
     comm = ch - hc

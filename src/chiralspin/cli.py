@@ -132,12 +132,6 @@ def _tolerance(text) -> float:
     return value
 
 
-def _prepare(spec):
-    """Build a model: (built model, its tag, H - shift)."""
-    built = models.build(spec)
-    return built, models.model_tag(built.spec), models.shifted_hamiltonian(built)
-
-
 def cmd_ops(args) -> int:
     label = SpinLabel.parse(args.j)
     matrix = getattr(build_spin_operators(label), args.which)
@@ -154,7 +148,8 @@ def cmd_ops(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    built, tag, shifted = _prepare(models.load_model_file(args.model_file))
+    built = models.build(models.load_model_file(args.model_file))
+    tag, shifted = built.spec.tag, built.shifted
     if args.rotation == "auto":
         rot = built.chiral_partner
         if rot is None:
@@ -227,7 +222,8 @@ def _spectrum_lines(tag, built, report, closed_phys, numeric_phys) -> list[str]:
 
 
 def cmd_spectrum(args) -> int:
-    built, tag, shifted = _prepare(models.load_model_file(args.model_file))
+    built = models.build(models.load_model_file(args.model_file))
+    tag, shifted = built.spec.tag, built.shifted
     if args.method == "numeric":
         numeric = chiral.spectral_pairing(shifted)[0] + built.shift
         lines = [
@@ -280,7 +276,7 @@ def cmd_spectrum(args) -> int:
 def _scan_step(built, param):
     """Pair the spectrum of one scanned model's H - shift: (parameter
     value, physical eigenvalues, pairing report)."""
-    eigs, report = chiral.spectral_pairing(models.shifted_hamiltonian(built))
+    eigs, report = chiral.spectral_pairing(built.shifted)
     return getattr(built.spec, param), eigs + built.shift, report
 
 
@@ -372,8 +368,8 @@ def cmd_search(args) -> int:
     if not isinstance(doc, dict):
         raise ValueError(f"{args.input_file}: expected a JSON object")
     if "model" in doc:
-        built, origin, h = _prepare(models.load_model_file(args.input_file, doc))
-        dims = built.dims
+        built = models.build(models.load_model_file(args.input_file, doc))
+        origin, h, dims = built.spec.tag, built.shifted, built.dims
     elif {"dims", "entries"} <= set(doc):
         h, dims = _matrix_from_doc(doc, args.input_file)
         origin = "matrix"
@@ -405,12 +401,13 @@ def cmd_search(args) -> int:
 
 
 def cmd_charpoly(args) -> int:
-    built, tag, shifted = _prepare(models.load_model_file(args.model_file))
+    built = models.build(models.load_model_file(args.model_file))
+    tag, shifted = built.spec.tag, built.shifted
     report = charpoly.full_solve(shifted)
     poly, reduced = report.charpoly, report.reduced
     if poly is None:
         print(f"characteristic polynomial unavailable for dim {shifted.shape[0]}: "
-              "prod(1 + |lambda|) bounds its coefficients and exceeds the double range", file=sys.stderr)
+              f"{report.charpoly_unavailable}", file=sys.stderr)
         return 1
     lines = [
         f"model: {tag} (dim {poly.dim}, shift {_fmt(built.shift)})",

@@ -15,9 +15,7 @@ import numpy as np
 __all__ = [
     "EigenDecomposition",
     "MAX_NORM",
-    "anticommutator",
     "as_matrix",
-    "commutator",
     "frobenius",
     "hermitian_eigensolve",
     "identity",
@@ -42,15 +40,6 @@ def as_matrix(a) -> np.ndarray:
     if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return m
-
-
-def _conforming(a, b):
-    """Validate two matrices of one shape; shared with ``chiral.classify``."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return a, b
 
 
 def identity(dim: int) -> np.ndarray:
@@ -78,18 +67,6 @@ def frobenius(a) -> float:
         if 0.0 < s < math.inf:
             norm = s * float(np.linalg.norm(mags / s))
     return norm
-
-
-def commutator(a, b) -> np.ndarray:
-    """[A, B] = AB - BA."""
-    a, b = _conforming(a, b)
-    return a @ b - b @ a
-
-
-def anticommutator(a, b) -> np.ndarray:
-    """{A, B} = AB + BA."""
-    a, b = _conforming(a, b)
-    return a @ b + b @ a
 
 
 def kron(a, b) -> np.ndarray:

@@ -35,16 +35,13 @@ __all__ = [
     "ToyCoupled",
     "TriaxialRotor",
     "build",
-    "hilbert_dim",
     "iter_parameter_sweep",
     "load_model_file",
-    "model_tag",
     "parameter_names",
     "parameter_sweep",
     "parse_model",
     "read_json_file",
     "shifted_hamiltonian",
-    "subsystem_dims",
 ]
 
 _SPIN_FIELDS = ("j", "j1", "j2")
@@ -78,6 +75,8 @@ class ModelSpec:
                 value = parse_angle(value) if isinstance(value, str) else float(value)
             except OverflowError:  # an int beyond the double range
                 value = math.inf
+            except ValueError as exc:  # a string parse_angle refuses
+                raise ValueError(f"parameter {f.name!r}: {exc}") from None
             if not math.isfinite(value):
                 raise ValueError(f"parameter {f.name!r} must be finite")
             object.__setattr__(self, f.name, value)
@@ -228,7 +227,7 @@ class OHMolecule(ModelSpec):
 
     def assemble(self, ops):
         o1, o2 = ops
-        dims = subsystem_dims(self)
+        dims = (o1.dim, o2.dim)
         tilted = math.cos(self.theta) * o2.jz - math.sin(self.theta) * o2.jx
         h = (
             self.delta * embed(o1.jz, 0, dims)
@@ -257,35 +256,15 @@ MODEL_TAGS = {
 }
 
 
-def model_tag(spec) -> str:
-    return type(spec).tag
-
-
 def spin_labels(spec) -> tuple[SpinLabel, ...]:
     return tuple(
         getattr(spec, name) for name in _SPIN_FIELDS if hasattr(spec, name)
     )
 
 
-def subsystem_dims(spec) -> tuple[int, ...]:
-    return tuple(label.dim for label in spin_labels(spec))
-
-
-def hilbert_dim(spec) -> int:
-    """Dimension of the model's Hilbert space, the product of its subsystem
-    dims; above ``MAX_HILBERT_DIM`` it raises before anything is built."""
-    dim = math.prod(subsystem_dims(spec))
-    if dim > MAX_HILBERT_DIM:
-        raise ValueError(
-            f"model {model_tag(spec)!r} has dimension {dim}, above the limit {MAX_HILBERT_DIM}"
-        )
-    return dim
-
-
 def parameter_names(spec) -> tuple[str, ...]:
     """Real parameters of a model spec (everything except the spin labels)."""
-    cls = spec if isinstance(spec, type) else type(spec)
-    return tuple(f.name for f in dataclasses.fields(cls) if f.name not in _SPIN_FIELDS)
+    return tuple(f.name for f in dataclasses.fields(spec) if f.name not in _SPIN_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -310,7 +289,7 @@ class BuiltModel:
 
     @property
     def dims(self) -> tuple[int, ...]:
-        return subsystem_dims(self.spec)
+        return tuple(label.dim for label in spin_labels(self.spec))
 
     @property
     def chiral_condition_met(self) -> bool:
@@ -320,7 +299,7 @@ class BuiltModel:
 def _require_shift(spec, shift: float) -> float:
     if not abs(shift) <= linalg.MAX_NORM:
         raise ValueError(
-            f"model {model_tag(spec)!r} has |shift| {abs(shift):.3e}, "
+            f"model {spec.tag!r} has |shift| {abs(shift):.3e}, "
             f"above the limit {linalg.MAX_NORM:.3e}"
         )
     return shift
@@ -336,9 +315,14 @@ def _assembled(spec, ops) -> BuiltModel:
 
 
 def _slot_operators(spec):
-    """One ``build_spin_operators`` per slot, after the size check."""
-    hilbert_dim(spec)
-    return [build_spin_operators(label) for label in spin_labels(spec)]
+    """One ``build_spin_operators`` per slot, after the size check: the
+    product of the slot dims above ``MAX_HILBERT_DIM`` raises before anything
+    is built."""
+    labels = spin_labels(spec)
+    dim = math.prod(label.dim for label in labels)
+    if dim > MAX_HILBERT_DIM:
+        raise ValueError(f"model {spec.tag!r} has dimension {dim}, above the limit {MAX_HILBERT_DIM}")
+    return [build_spin_operators(label) for label in labels]
 
 
 def build(spec) -> BuiltModel:
@@ -361,7 +345,7 @@ def iter_parameter_sweep(spec, param_name: str, values):
     names = parameter_names(spec)
     if param_name not in names:
         raise ValueError(
-            f"unknown parameter {param_name!r} for model {model_tag(spec)!r}; "
+            f"unknown parameter {param_name!r} for model {spec.tag!r}; "
             f"expected one of: {', '.join(names)}"
         )
     ops = _slot_operators(spec)

@@ -1,8 +1,9 @@
 """Shared test utilities: seeded random matrices and model draws, and the
-reference code the package is checked against: the brute-force partner
-search, the Jacobi eigensolver, the Faddeev-LeVerrier characteristic
-polynomial, and the eigenvector-map, odd-power-trace and ladder-action checks
-of the paper's identities. No command calls these."""
+reference code the package is checked against: the commutator pair behind
+``classify``'s residuals, the brute-force partner search, the Jacobi
+eigensolver, the Faddeev-LeVerrier characteristic polynomial, and the
+eigenvector-map, odd-power-trace and ladder-action checks of the paper's
+identities. No command calls these."""
 
 import dataclasses
 import itertools
@@ -23,7 +24,7 @@ from chiralspin.chiral import (
     classify,
     default_pairing_tol,
 )
-from chiralspin.linalg import EigenDecomposition, frobenius, identity, require_hermitian
+from chiralspin.linalg import EigenDecomposition, as_matrix, frobenius, identity, require_hermitian
 from chiralspin.models import (
     CrossedFields,
     CrossedFieldsShifted,
@@ -136,6 +137,18 @@ def expected_general_field_j52(a, b, c):
             [0, 0, 0, 0, s5 * u, -5 * c],
         ]
     )
+
+
+def commutator(a, b) -> np.ndarray:
+    """[A, B] = AB - BA."""
+    a, b = as_matrix(a), as_matrix(b)
+    return a @ b - b @ a
+
+
+def anticommutator(a, b) -> np.ndarray:
+    """{A, B} = AB + BA."""
+    a, b = as_matrix(a), as_matrix(b)
+    return a @ b + b @ a
 
 
 def write_model(tmp_path, doc, name="model.json"):

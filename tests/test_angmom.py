@@ -6,7 +6,7 @@ import pytest
 from chiralspin import linalg
 from chiralspin.angmom import SpinLabel, build_spin_operators, embed
 
-from helpers import ladder_action_check
+from helpers import commutator, ladder_action_check
 
 
 def test_label_parsing():
@@ -71,9 +71,9 @@ def test_operator_invariants(twice_j):
     total = ops.jx @ ops.jx + ops.jy @ ops.jy + ops.jz @ ops.jz
     assert linalg.frobenius(total - jj * np.eye(dim)) < 1e-12
     assert linalg.frobenius(total - ops.jsq) < 1e-12
-    assert linalg.frobenius(linalg.commutator(ops.jx, ops.jy) - 1j * ops.jz) < 1e-12
-    assert linalg.frobenius(linalg.commutator(ops.jy, ops.jz) - 1j * ops.jx) < 1e-12
-    assert linalg.frobenius(linalg.commutator(ops.jz, ops.jx) - 1j * ops.jy) < 1e-12
+    assert linalg.frobenius(commutator(ops.jx, ops.jy) - 1j * ops.jz) < 1e-12
+    assert linalg.frobenius(commutator(ops.jy, ops.jz) - 1j * ops.jx) < 1e-12
+    assert linalg.frobenius(commutator(ops.jz, ops.jx) - 1j * ops.jy) < 1e-12
     for m in (ops.jx, ops.jy, ops.jz):
         assert abs(np.trace(m)) == 0.0
 
@@ -131,7 +131,7 @@ def test_embed_identity_is_identity():
 def test_embedded_operators_on_distinct_slots_commute():
     a = embed(build_spin_operators("1/2").jx, 0, [2, 4])
     b = embed(build_spin_operators("3/2").jz, 1, [2, 4])
-    assert linalg.frobenius(linalg.commutator(a, b)) < 1e-13
+    assert linalg.frobenius(commutator(a, b)) < 1e-13
 
 
 def test_embed_product_matches_kron(rng):

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -748,6 +749,41 @@ def test_charpoly_above_the_coefficient_bound_exits_1(tmp_path, capsys):
     assert "Infinity" not in out and "NaN" not in out
 
 
+@pytest.mark.parametrize("twice_j", [251, 255])
+def test_charpoly_keeps_its_low_coefficients_at_large_dims(tmp_path, capsys, twice_j):
+    # scaled by 2^e nearest ||H||_F, these roots multiply to below the double
+    # range: j = 251/2 printed c_0 = c_1 = 0 and -3.049e-20 for c_2, j = 255/2
+    # printed c_0 to c_3 as 0, all beside zero-root multiplicity 0
+    doc = {"model": "general_field", "j": f"{twice_j}/2", "params": {"a": 0.01, "b": 0.01, "c": 0.01}}
+    path = write_model(tmp_path, doc)
+    eigs, _, _, _ = _eigvalsh_rule(doc)
+    spectrum, code, out, err = _spectrum_and_charpoly(capsys, path)
+    assert (code, err) == (0, "")
+    poly = json.loads(out)
+    assert (poly["parity_ok"], poly["zero_root_multiplicity"]) == (True, 0)
+    assert spectrum["charpoly_shifted"] == poly["coefficients"]
+    coeffs = np.array(poly["coefficients"])
+    det = np.prod(np.sign(eigs)) * math.exp(math.fsum(np.log(np.abs(eigs))))
+    assert abs(coeffs[0] - det) <= 1e-9 * abs(det)
+    assert np.all(np.abs(coeffs[0::2]) >= sys.float_info.min)
+    # each even coefficient within 1e-9 of e_k(|lambda|), which bounds it
+    want, _ = reference_charpoly(eigs)
+    scale = np.poly(-np.abs(eigs))[::-1].real
+    assert np.all(np.abs(coeffs - want)[0::2] <= 1e-9 * scale[0::2])
+
+
+def test_charpoly_whose_roots_multiply_below_the_double_range_exits_1(tmp_path, capsys):
+    # the 100 nonzero roots at j = 50 and fields of 1e-6 multiply to
+    # 2^-1485.5, so c_1 cannot be printed; it was printed as 0
+    path = write_model(tmp_path, {"model": "general_field", "j": "50",
+                                  "params": {"a": 1e-6, "b": 1e-6, "c": 1e-6}})
+    spectrum, code, out, err = _spectrum_and_charpoly(capsys, path)
+    assert spectrum["method"] == "numeric_only" and spectrum["charpoly_shifted"] is None
+    assert (code, out) == (1, "")
+    assert err == ("characteristic polynomial unavailable for dim 101: the product of its 100 "
+                   "nonzero roots, 2^-1485.5, is below the smallest normal double\n")
+
+
 def test_spectrum_and_charpoly_agree_with_eigvalsh_rule(tmp_path, capsys):
     rng = np.random.default_rng(2024)
     for dim in (*range(1, 14), 21, 41):
@@ -755,7 +791,7 @@ def test_spectrum_and_charpoly_agree_with_eigvalsh_rule(tmp_path, capsys):
             spec = chiral_model_at_dim(rng, family, dim)
             if spec is None:
                 continue
-            doc = {"model": models.model_tag(spec), "params": {
+            doc = {"model": spec.tag, "params": {
                 k: v for k, v in vars(spec).items() if not isinstance(v, models.SpinLabel)}}
             doc.update({k: str(v) for k, v in vars(spec).items() if isinstance(v, models.SpinLabel)})
             path = write_model(tmp_path, doc)
@@ -908,6 +944,22 @@ def test_integer_beyond_the_double_range_names_its_field(tmp_path, capsys, field
     assert err == expected[field]
 
 
+@pytest.mark.parametrize("model, name, value, reason", [
+    ("general_field", "a", "inf", "angle must be finite"),
+    ("general_field", "a", "nan", "angle must be finite"),
+    ("general_field", "a", "1e400", "angle must be finite"),
+    ("general_field", "a", "abc", "cannot parse angle 'abc'"),
+    ("oh_molecule", "theta", "pi/3", "cannot parse angle 'pi/3'"),
+])
+def test_string_parameter_errors_name_the_parameter(tmp_path, capsys, model, name, value, reason):
+    doc = {"model": model, "params": {name: value}}
+    if model == "general_field":
+        doc = {"model": model, "j": "1", "params": {"a": 1.0, "b": 0.0, "c": 0.0, name: value}}
+    path = write_model(tmp_path, doc)
+    code, out, err = run_cli(capsys, "verify", path)
+    assert (code, out, err) == (2, "", f"error: {path}: parameter {name!r}: {reason}\n")
+
+
 @pytest.mark.parametrize("family", ["crossed_fields", "crossed_fields_shifted", "general_field"])
 @pytest.mark.parametrize("twice_j", [1, 4, 12])
 def test_spectrum_checks_hermiticity_four_times(tmp_path, capsys, monkeypatch, family, twice_j):
@@ -1035,3 +1087,31 @@ def test_every_magnitude_ends_in_an_answer_or_a_clean_exit(tmp_path, capsys, fam
                 want = np.linalg.eigvalsh(built.shifted) + built.shift
                 got = np.array(payload["eigenvalues_numeric"])
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), magnitude
+
+
+# Every option string and positional of the CLI. A change that adds a knob
+# has to add it here too.
+CLI_INTERFACE = {
+    None: (("command",), ("-h", "--help", "--format", "--tol", "--out")),
+    "ops": ((), ("-h", "--help", "--format", "--tol", "--out", "--j", "--which")),
+    "verify": (("model_file",), ("-h", "--help", "--format", "--tol", "--out", "--rotation")),
+    "spectrum": (("model_file",), ("-h", "--help", "--format", "--tol", "--out", "--method")),
+    "scan": (("model_file",), ("-h", "--help", "--format", "--tol", "--out",
+                              "--param", "--from", "--to", "--steps")),
+    "search": (("input_file",), ("-h", "--help", "--format", "--tol", "--out")),
+    "charpoly": (("model_file",), ("-h", "--help", "--format", "--tol", "--out")),
+}
+
+
+def _interface(parser):
+    """(positionals, option strings) of one parser, in declaration order."""
+    positionals = tuple(a.dest for a in parser._actions if not a.option_strings)
+    return positionals, tuple(s for a in parser._actions for s in a.option_strings)
+
+
+def test_cli_options_are_pinned():
+    parser = cli.build_parser()
+    (subcommands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    got = {None: _interface(parser)}
+    got.update((name, _interface(sub)) for name, sub in subcommands.choices.items())
+    assert got == CLI_INTERFACE

@@ -16,7 +16,7 @@ from chiralspin.rotations import (
     unit_axis,
 )
 
-from helpers import random_unit_vector
+from helpers import anticommutator, random_unit_vector
 
 
 def test_parse_angle_literals():
@@ -173,5 +173,5 @@ def test_pi_rotation_anticommutes_with_perpendicular_projection(rng):
             if np.linalg.norm(a) < 0.3:
                 continue
             r = rotation_matrix(RotationSpec(0, tuple(n), math.pi), ops)
-            assert linalg.frobenius(linalg.anticommutator(r, ops.along(a))) < 1e-10
+            assert linalg.frobenius(anticommutator(r, ops.along(a))) < 1e-10
             assert classify(r, ops.along(a)).kind is Symmetry.ANTICOMMUTING
