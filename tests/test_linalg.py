@@ -5,6 +5,7 @@ import pytest
 
 from chiralspin import linalg
 from chiralspin.angmom import SpinLabel, build_spin_operators, embed
+from chiralspin.chiral import classify
 from chiralspin.rotations import RotationSpec, rotation_matrix
 
 import helpers
@@ -111,6 +112,15 @@ def test_kron_is_numpy_kron_bit_for_bit(rng):
         got, want = linalg.kron(a, b), np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+def test_dimension_mismatch_rejected():
+    # [C, H] and {C, H} are formed only inside classify, which refuses
+    # operators of different dimension before any product is taken
+    with pytest.raises(ValueError, match="^dimension mismatch: 2 vs 3$"):
+        classify(np.eye(2), np.eye(3))
+    with pytest.raises(ValueError, match="^dimension mismatch: 3 vs 2$"):
+        classify([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]])
 
 
 def test_rejects_non_square_and_non_finite():
