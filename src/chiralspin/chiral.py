@@ -114,22 +114,23 @@ def pairing_check(eigenvalues, tol: float) -> PairingReport:
     the zero modes occupy the centre of the sorted list, so
     2*len(pairs) + zero_modes = len(eigenvalues) whenever pairing holds.
     """
-    values = [float(x) for x in eigenvalues]
-    if any(values[i] > values[i + 1] for i in range(len(values) - 1)):
+    values = np.asarray(eigenvalues, dtype=float)
+    if (values[:-1] > values[1:]).any():
         raise ValueError("eigenvalues must be sorted ascending")
     n = len(values)
-    zero_modes = sum(1 for x in values if abs(x) < tol)
-    pairs = tuple(
-        (values[n - 1 - i], values[i], abs(values[i] + values[n - 1 - i]))
-        for i in range((n - zero_modes) // 2)
-    )
-    paired = (n - zero_modes) % 2 == 0 and all(m < tol for _, _, m in pairs)
+    zero_modes = int(np.count_nonzero(np.abs(values) < tol))
+    k = (n - zero_modes) // 2
+    top, bottom = values[::-1][:k], values[:k]
+    mismatch = np.abs(bottom + top)
+    pairs = tuple(zip(top.tolist(), bottom.tolist(), mismatch.tolist()))
+    paired = (n - zero_modes) % 2 == 0 and bool((mismatch < tol).all())
     return PairingReport(pairs, zero_modes, paired)
 
 
 def spectral_pairing(h) -> tuple[np.ndarray, PairingReport]:
-    """Ascending eigenvalues of H and their mirror pairing at default_pairing_tol(H)."""
-    eigenvalues = linalg.hermitian_eigensolve(h).eigenvalues
+    """Ascending eigenvalues of H, computed without eigenvectors, and their
+    mirror pairing at default_pairing_tol(H)."""
+    eigenvalues = linalg.hermitian_eigensolve(h, vectors=False).eigenvalues
     return eigenvalues, pairing_check(eigenvalues, default_pairing_tol(h))
 
 

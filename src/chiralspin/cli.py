@@ -37,10 +37,6 @@ def _fmt(x, digits: int = TEXT_DIGITS) -> str:
     return f"{float(x):.{digits}g}"
 
 
-def _csv(x) -> str:
-    return f"{float(x):.17g}"
-
-
 def _write(path, text):
     """Write text plus a newline to ``path``, or print it to stdout."""
     if path:
@@ -274,8 +270,9 @@ def cmd_spectrum(args) -> int:
 
 
 def _scan_step(built, param):
-    """Pair the spectrum of one scanned model's H - shift: (parameter
-    value, physical eigenvalues, pairing report)."""
+    """Pair the eigenvalues of one scanned model's H - shift, computed
+    without eigenvectors or the partner: (parameter value, physical
+    eigenvalues, pairing report)."""
     eigs, report = chiral.spectral_pairing(built.shifted)
     return getattr(built.spec, param), eigs + built.shift, report
 
@@ -303,8 +300,8 @@ def cmd_scan(args) -> int:
         try:
             fh.write(",".join(header) + "\n")
             for value, eigs, report in itertools.chain([first], solved):
-                cells = [args.param, _csv(value), *map(_csv, eigs)]
-                cells += ["true" if report.is_chiral_paired else "false", _csv(report.max_mismatch)]
+                cells = [args.param, f"{value:.17g}", *[f"{v:.17g}" for v in eigs.tolist()],
+                         "true" if report.is_chiral_paired else "false", f"{report.max_mismatch:.17g}"]
                 fh.write(",".join(cells) + "\n")
                 if failure is None and not report.is_chiral_paired:
                     failure = {"param_value": value, "max_pair_mismatch": report.max_mismatch}

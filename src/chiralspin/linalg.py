@@ -94,14 +94,17 @@ def require_hermitian(a, what: str = "matrix") -> np.ndarray:
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Ascending eigenvalues with matching eigenvector columns (V unitary)."""
+    """Ascending eigenvalues with matching eigenvector columns (V unitary),
+    or None for the eigenvectors when they were not asked for."""
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    eigenvectors: np.ndarray | None
 
 
-def hermitian_eigensolve(h) -> EigenDecomposition:
-    """Diagonalize a Hermitian matrix with LAPACK (``numpy.linalg.eigh``).
+def hermitian_eigensolve(h, vectors: bool = True) -> EigenDecomposition:
+    """Diagonalize a Hermitian matrix with LAPACK: ``numpy.linalg.eigh``, or
+    its eigenvalues-only driver ``numpy.linalg.eigvalsh`` when ``vectors`` is
+    False (Anderson et al., LAPACK Users' Guide, 3rd ed., 1999, 2.3.4).
 
     The input must pass ``require_hermitian``; LAPACK then gets its exact
     Hermitian part, so both triangles are read. Eigenvalues come back
@@ -109,8 +112,10 @@ def hermitian_eigensolve(h) -> EigenDecomposition:
     eigenvalues; the order within a degenerate cluster is unspecified.
     """
     h = require_hermitian(h)
-    values, vectors = np.linalg.eigh(0.5 * (h + h.conj().T))
-    return EigenDecomposition(values, vectors)
+    hermitian_part = 0.5 * (h + h.conj().T)
+    if not vectors:
+        return EigenDecomposition(np.linalg.eigvalsh(hermitian_part), None)
+    return EigenDecomposition(*np.linalg.eigh(hermitian_part))
 
 
 def unitary_exp(generator, t: float) -> np.ndarray:

@@ -5,6 +5,7 @@ energy shift (hbar = 1)."""
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import numbers
@@ -58,8 +59,9 @@ class ModelSpec:
     numeric parameters also accept the angle literals of ``parse_angle``.
 
     ``assemble(ops)`` takes each slot's spin operators and returns H - shift*I
-    from the family's own algebra, the shift, the documented partner (None
-    when the family's condition fails) and a note on the condition."""
+    from the family's own algebra and the shift. ``condition()`` returns the
+    documented partner (None when the family's condition fails) and a note on
+    the condition; neither depends on the spin operators."""
 
     tag: ClassVar[str]
 
@@ -93,8 +95,10 @@ class CrossedFields(ModelSpec):
     tag: ClassVar[str] = "crossed_fields"
 
     def assemble(self, ops):
-        k = self.a * ops[0].jx + self.b * ops[0].jy
-        return k, 0.0, _partner((0, Z_AXIS, math.pi)), "a pi rotation about z flips both Jx and Jy"
+        return self.a * ops[0].jx + self.b * ops[0].jy, 0.0
+
+    def condition(self):
+        return _partner((0, Z_AXIS, math.pi)), "a pi rotation about z flips both Jx and Jy"
 
 
 @dataclass(frozen=True)
@@ -114,9 +118,10 @@ class CrossedFieldsShifted(ModelSpec):
 
     def assemble(self, ops):
         tj = self.j.twice_j
-        k = self.a * ops[0].jx + self.b * ops[0].jy
-        return (k, self.c * tj * (tj + 2) / 4.0, _partner((0, Z_AXIS, math.pi)),
-                "c J^2 is the constant c j(j+1); the remainder is chiral")
+        return self.a * ops[0].jx + self.b * ops[0].jy, self.c * tj * (tj + 2) / 4.0
+
+    def condition(self):
+        return _partner((0, Z_AXIS, math.pi)), "c J^2 is the constant c j(j+1); the remainder is chiral"
 
 
 @dataclass(frozen=True)
@@ -132,6 +137,9 @@ class GeneralField(ModelSpec):
     tag: ClassVar[str] = "general_field"
 
     def assemble(self, ops):
+        return self.a * ops[0].jx + self.b * ops[0].jy + self.c * ops[0].jz, 0.0
+
+    def condition(self):
         if self.a or self.b:
             # scale (a, b) by the power of two nearest max(|a|, |b|) so that
             # subnormal fields keep their digits; the axis changes only in
@@ -142,8 +150,7 @@ class GeneralField(ModelSpec):
             axis = (b / plane, -a / plane, 0.0)
         else:
             axis = X_AXIS  # field along z; any transverse axis works
-        k = self.a * ops[0].jx + self.b * ops[0].jy + self.c * ops[0].jz
-        return (k, 0.0, _partner((0, axis, math.pi)),
+        return (_partner((0, axis, math.pi)),
                 "a pi rotation about an axis perpendicular to (a, b, c) flips a.J")
 
 
@@ -181,7 +188,9 @@ class TriaxialRotor(ModelSpec):
                     f"1/2{name} = {b:.3e} overflows the rotor terms at j = {self.j}"
                 )
         jx, jy = ops[0].jx, ops[0].jy
-        k = (bx - bz) * (jx @ jx) + (by - bz) * (jy @ jy)
+        return (bx - bz) * (jx @ jx) + (by - bz) * (jy @ jy), shift
+
+    def condition(self):
         residual = abs(1.0 / self.ix + 1.0 / self.iy - 2.0 / self.iz)
         scale = max(1.0 / self.ix, 1.0 / self.iy, 1.0 / self.iz)
         met = residual <= TRIAXIAL_CONDITION_RTOL * scale
@@ -189,8 +198,7 @@ class TriaxialRotor(ModelSpec):
             f"|1/Ix + 1/Iy - 2/Iz| = {residual:.3e} "
             f"(relative {residual / scale:.3e}); chiral requires it to vanish"
         )
-        partner = _partner((0, Z_AXIS, math.pi / 2.0)) if met else None
-        return k, shift, partner, note
+        return (_partner((0, Z_AXIS, math.pi / 2.0)) if met else None), note
 
 
 @dataclass(frozen=True)
@@ -206,8 +214,10 @@ class ToyCoupled(ModelSpec):
 
     def assemble(self, ops):
         o1, o2 = ops
-        k = self.A * linalg.kron(o1.jy, o2.jy) + self.B * linalg.kron(o1.jz, o2.jz)
-        return (k, 0.0, _partner((0, Y_AXIS, math.pi), (1, Z_AXIS, math.pi)),
+        return self.A * linalg.kron(o1.jy, o2.jy) + self.B * linalg.kron(o1.jz, o2.jz), 0.0
+
+    def condition(self):
+        return (_partner((0, Y_AXIS, math.pi), (1, Z_AXIS, math.pi)),
                 "rotating spin 1 about y and spin 2 about z flips both couplings")
 
 
@@ -234,7 +244,10 @@ class OHMolecule(ModelSpec):
             + self.B * embed(o2.jz, 1, dims)
             + self.E * linalg.kron(o1.jx, tilted)
         )
-        return (h, 0.0, _partner((0, X_AXIS, math.pi), (1, Y_AXIS, math.pi)),
+        return h, 0.0
+
+    def condition(self):
+        return (_partner((0, X_AXIS, math.pi), (1, Y_AXIS, math.pi)),
                 "pi about x on spin 1 and pi about y on spin 2 flips every term")
 
 
@@ -273,13 +286,26 @@ class BuiltModel:
     anticommutes with ``chiral_partner`` (the shift is zero for most
     families), and its symmetry data. The partner is None when the family's
     condition fails for these parameters, with the reason in ``condition_note``.
+
+    The partner and the note come from ``spec.condition()`` the first time
+    either is read, once per model: a scan step reads neither.
     """
 
     spec: ModelSpec
     shifted: np.ndarray
     shift: float
-    chiral_partner: CompositeRotation | None
-    condition_note: str
+
+    @functools.cached_property
+    def _condition(self) -> tuple[CompositeRotation | None, str]:
+        return self.spec.condition()
+
+    @property
+    def chiral_partner(self) -> CompositeRotation | None:
+        return self._condition[0]
+
+    @property
+    def condition_note(self) -> str:
+        return self._condition[1]
 
     @property
     def hamiltonian(self) -> np.ndarray:
@@ -308,10 +334,10 @@ def _require_shift(spec, shift: float) -> float:
 def _assembled(spec, ops) -> BuiltModel:
     """The model from its slots' spin operators; a shift or a norm above
     ``linalg.MAX_NORM`` raises."""
-    shifted, shift, partner, note = spec.assemble(ops)
+    shifted, shift = spec.assemble(ops)
     _require_shift(spec, shift)
     linalg.require_hermitian(shifted, "model Hamiltonian")
-    return BuiltModel(spec, shifted, shift, partner, note)
+    return BuiltModel(spec, shifted, shift)
 
 
 def _slot_operators(spec):
@@ -326,8 +352,8 @@ def _slot_operators(spec):
 
 
 def build(spec) -> BuiltModel:
-    """Assemble H - shift*I, the shift constant, and the chiral partner; a
-    shift or a norm above ``linalg.MAX_NORM`` raises."""
+    """Assemble H - shift*I and the shift constant; a shift or a norm above
+    ``linalg.MAX_NORM`` raises. The chiral partner is built when read."""
     return _assembled(spec, _slot_operators(spec))
 
 

@@ -1,9 +1,9 @@
 """Shared test utilities: seeded random matrices and model draws, and the
 reference code the package is checked against: the commutator pair behind
-``classify``'s residuals, the brute-force partner search, the Jacobi
-eigensolver, the Faddeev-LeVerrier characteristic polynomial, and the
-eigenvector-map, odd-power-trace and ladder-action checks of the paper's
-identities. No command calls these."""
+``classify``'s residuals, a scalar loop for ``pairing_check``, the
+brute-force partner search, the Jacobi eigensolver, the Faddeev-LeVerrier
+characteristic polynomial, and the eigenvector-map, odd-power-trace and
+ladder-action checks of the paper's identities. No command calls these."""
 
 import dataclasses
 import itertools
@@ -20,6 +20,7 @@ from chiralspin.chiral import (
     DEFAULT_SEARCH_ANGLES,
     DEFAULT_SEARCH_AXES,
     DEFAULT_TOL,
+    PairingReport,
     Symmetry,
     classify,
     default_pairing_tol,
@@ -155,6 +156,22 @@ def write_model(tmp_path, doc, name="model.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def reference_pairing_check(eigenvalues, tol: float) -> PairingReport:
+    """Reference for ``chiral.pairing_check``: the same matching, one Python
+    float at a time."""
+    values = [float(x) for x in eigenvalues]
+    if any(values[i] > values[i + 1] for i in range(len(values) - 1)):
+        raise ValueError("eigenvalues must be sorted ascending")
+    n = len(values)
+    zero_modes = sum(1 for x in values if abs(x) < tol)
+    pairs = tuple(
+        (values[n - 1 - i], values[i], abs(values[i] + values[n - 1 - i]))
+        for i in range((n - zero_modes) // 2)
+    )
+    paired = (n - zero_modes) % 2 == 0 and all(m < tol for _, _, m in pairs)
+    return PairingReport(pairs, zero_modes, paired)
 
 
 def brute_force_search(h, dims, angles=None, axes=None, tol=DEFAULT_TOL):

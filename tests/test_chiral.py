@@ -30,6 +30,7 @@ from helpers import (
     random_chiral_model,
     random_hermitian,
     random_unit_vector,
+    reference_pairing_check,
     spin_chain,
     trace_oddpower_check,
 )
@@ -148,6 +149,40 @@ def test_pairing_counts_add_up(rng):
         assert 2 * len(report.pairs) + report.zero_modes == len(values)
 
 
+def _pairing_spectra(rng):
+    """Sorted spectra of 0 to 40 values: mirror pairs with tied magnitudes,
+    zero modes, and some values nudged by about the tolerance 2^-20."""
+    tol = 2.0 ** -20
+    for n in range(41):
+        for _ in range(4):
+            k = int(rng.integers(0, n // 2 + 1))
+            mags = rng.choice([0.5, 1.0, 3.0, *rng.uniform(0.0, 2.0, size=3)], size=k)
+            values = np.concatenate([-mags, np.zeros(n - 2 * k), mags])
+            nudged = rng.random(n) < 0.2
+            values[nudged] += rng.choice([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0], size=int(nudged.sum())) * tol
+            yield np.sort(values)
+    # |lambda| exactly tol, and lambda+ + lambda- exactly tol
+    yield np.array([-tol, tol])
+    yield np.array([-tol, 0.0, tol])
+    yield np.array([-1.0, 1.0 + tol])
+    yield np.array([-1.0 - tol, -tol, 0.0, 1.0])
+
+
+def test_pairing_check_matches_the_reference_loop(rng):
+    tol = 2.0 ** -20
+    for values in _pairing_spectra(rng):
+        for given in (values, values.tolist()):
+            report = pairing_check(given, tol)
+            assert report == reference_pairing_check(given, tol)
+            assert all(type(x) is float for pair in report.pairs for x in pair)
+            assert type(report.zero_modes) is int and type(report.is_chiral_paired) is bool
+            assert type(report.max_mismatch) is float
+    for values in ([1.0, -1.0], [-1.0, 1.0, 0.0], [0.0, -tol], [-2.0, 1.0, 0.5, 2.0]):
+        for check in (pairing_check, reference_pairing_check):
+            with pytest.raises(ValueError, match="^eigenvalues must be sorted ascending$"):
+                check(values, tol)
+
+
 def test_chiral_map_half_spin_sigma_z():
     # H = Jx (crossed fields with b = 0); sigma_z anticommutes and maps the
     # +1/2 eigenstate onto the -1/2 one
@@ -222,7 +257,7 @@ def test_spectral_pairing_uses_default_tolerance(rng):
     h = 1e3 * random_hermitian(rng, 5)
     eigenvalues, report = spectral_pairing(h)
     tol = default_pairing_tol(h)
-    assert np.array_equal(eigenvalues, linalg.hermitian_eigensolve(h).eigenvalues)
+    assert np.array_equal(eigenvalues, linalg.hermitian_eigensolve(h, vectors=False).eigenvalues)
     assert report == pairing_check(eigenvalues, tol)
 
 

@@ -13,6 +13,7 @@ import pytest
 
 from chiralspin import cli, linalg, models
 from chiralspin.chiral import default_pairing_tol
+from chiralspin.rotations import RotationSpec
 
 from helpers import FAMILIES, chiral_model_at_dim, random_chiral_model, reference_charpoly, write_model
 
@@ -352,10 +353,12 @@ def test_scan_reports_first_pairing_failure(tmp_path, capsys):
 
 
 def test_eigensolver_failure_exits_2(tmp_path, capsys, monkeypatch):
-    def failing_eigh(*_args, **_kwargs):
+    def failing_eigensolver(*_args, **_kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+    # both LAPACK drivers, so the failure reaches whichever one runs
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigensolver)
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing_eigensolver)
     path = write_model(
         tmp_path,
         {"model": "general_field", "j": "5/2", "params": {"a": 1.0, "b": 2.0, "c": 0.5}},
@@ -364,6 +367,10 @@ def test_eigensolver_failure_exits_2(tmp_path, capsys, monkeypatch):
         ["verify", path],
         ["--out", str(tmp_path / "x.csv"), "scan", path,
          "--param", "c", "--from", "0", "--to", "1", "--steps", "2"],
+        ["spectrum", path],
+        ["spectrum", path, "--method", "numeric"],
+        ["charpoly", path],
+        ["search", path],
     ):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2
@@ -980,6 +987,72 @@ def test_spectrum_checks_hermiticity_four_times(tmp_path, capsys, monkeypatch, f
     code, _, _ = run_cli(capsys, "--format", "json", "spectrum", path)
     assert code == 0
     assert len(calls) == 4
+
+
+def _model_doc(spec) -> dict:
+    """The model document of a spec: spin labels as text, parameters as floats."""
+    doc = {"model": spec.tag, "params": {name: getattr(spec, name) for name in models.parameter_names(spec)}}
+    doc.update({name: str(getattr(spec, name)) for name in ("j", "j1", "j2") if hasattr(spec, name)})
+    return doc
+
+
+def _scan_first_parameter(tmp_path, capsys, family, seed, steps):
+    """Scan a drawn model's first parameter from its value to three times
+    it; (the model document, the scanned name, the CSV rows)."""
+    spec = random_chiral_model(np.random.default_rng(seed), family, max_twice_j=6, coupled_max=3)
+    doc, param = _model_doc(spec), models.parameter_names(spec)[0]
+    value = getattr(spec, param)
+    out_csv = tmp_path / "scan.csv"
+    code, _, err = run_cli(capsys, "--out", str(out_csv), "scan", write_model(tmp_path, doc), "--param", param,
+                           "--from", repr(value), "--to", repr(3.0 * value), "--steps", str(steps))
+    assert (code, err) == (0, "")
+    return doc, param, out_csv.read_text().splitlines()[1:]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_scan_step_builds_no_partner(tmp_path, capsys, monkeypatch, family):
+    # per step: H - shift is checked as the model is built and again by the
+    # eigensolve; nothing reads the partner, so no RotationSpec is made
+    checks, rotations = [], []
+    check, post_init = linalg.require_hermitian, RotationSpec.__post_init__
+    monkeypatch.setattr(linalg, "require_hermitian", lambda *a, **kw: checks.append(1) or check(*a, **kw))
+    monkeypatch.setattr(RotationSpec, "__post_init__", lambda self: rotations.append(1) or post_init(self))
+    _, _, rows = _scan_first_parameter(tmp_path, capsys, family, FAMILIES.index(family), steps=7)
+    assert len(rows) == 7
+    assert len(checks) == 2 * 7
+    assert rotations == []
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_scan_rows_equal_one_shot_spectra(tmp_path, capsys, family):
+    doc, param, rows = _scan_first_parameter(tmp_path, capsys, family, 10 + FAMILIES.index(family), steps=5)
+    for row in rows:
+        cells = row.split(",")
+        doc["params"][param] = float(cells[1])
+        code, out, _ = run_cli(capsys, "--format", "json", "spectrum", write_model(tmp_path, doc, "step.json"),
+                               "--method", "numeric")
+        assert code == 0
+        one_shot = json.loads(out)["eigenvalues_numeric"]
+        assert [float(x).hex() for x in cells[2:-2]] == [x.hex() for x in one_shot]
+
+
+def test_printed_partner_does_not_depend_on_earlier_commands(tmp_path, capsys):
+    # a = -0.0 and a = 0.0 give the partner axes (1.0, 0.0, 0.0) and
+    # (1.0, -0.0, 0.0): equal as values, different as printed
+    paths = {}
+    for a in ("-0.0", "0.0"):
+        paths[a] = tmp_path / f"a{a}.json"
+        paths[a].write_text('{"model": "general_field", "j": "1", "params": {"a": %s, "b": 1, "c": 0.5}}' % a)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    alone = {a: subprocess.run([sys.executable, "-m", "chiralspin", "--format", "json", "verify", str(path)],
+                               capture_output=True, text=True, env=env, check=True).stdout
+             for a, path in paths.items()}
+    assert '"axis": [\n          1.0,\n          0.0,' in alone["-0.0"]
+    assert '"axis": [\n          1.0,\n          -0.0,' in alone["0.0"]
+    for order in (("-0.0", "0.0"), ("0.0", "-0.0")):
+        for a in order:
+            assert run_cli(capsys, "--format", "json", "verify", str(paths[a])) == (0, alone[a], "")
 
 
 # H - shift small beside 1e-12 max(1, ||H||_F): the family builds it exactly,
