@@ -44,7 +44,6 @@ from .models import (
     TriaxialRotor,
     build,
     load_model_file,
-    parameter_sweep,
     parse_model,
     shifted_hamiltonian,
 )

@@ -12,7 +12,7 @@ from enum import Enum
 import numpy as np
 
 from . import linalg
-from .chiral import Symmetry, classify, default_pairing_tol, spectral_pairing
+from .chiral import default_pairing_tol, spectral_pairing
 
 __all__ = [
     "CharPoly",
@@ -267,7 +267,7 @@ def _cluster_means(values, numeric, tol) -> list[float]:
     return [math.fsum(values[a:b]) / (b - a) for a, b in zip(cuts, cuts[1:]) for _ in range(a, b)]
 
 
-def full_solve(h, partner=None) -> PolySolveReport:
+def full_solve(h) -> PolySolveReport:
     """Numeric spectrum and its mirror pairing, the solution route, the
     characteristic polynomial, and on the radicals route closed-form roots
     with their worst sorted deviation from the numeric ones.
@@ -286,19 +286,11 @@ def full_solve(h, partner=None) -> PolySolveReport:
     of multiplicity m moves by the m-th root of the coefficient error but the
     mean of its cluster in the numeric spectrum only by that error, so each
     closed form, in mu = lambda^2 when paired, is its cluster's mean.
-
-    When ``partner`` is supplied and anticommutes with H the spectrum must
-    come out paired; a violation indicates corrupt input and raises.
     """
     h = linalg.as_matrix(h)  # the eigensolve under spectral_pairing checks it is Hermitian
     eigenvalues, pairing = spectral_pairing(h)
     numeric = tuple(float(x) for x in eigenvalues)
     n, zeros, parity_ok = len(numeric), pairing.zero_modes, pairing.is_chiral_paired
-    if partner is not None and not parity_ok:
-        if classify(partner, h).kind in (Symmetry.ANTICOMMUTING, Symmetry.BOTH):
-            raise SpectrumInconsistencyError(
-                "anticommuting partner supplied but the spectrum is not mirror-paired"
-            )
     mags = np.sort(np.abs(eigenvalues))
     low = math.fsum(np.log2(mags[zeros:]))  # log2 prod |lambda| over the nonzero roots
     unavailable = None

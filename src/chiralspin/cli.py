@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import charpoly, chiral, linalg, models
-from .angmom import SpinLabel, build_spin_operators
+from .angmom import MAX_HILBERT_DIM, SpinLabel, build_spin_operators
 from .chiral import Symmetry
 from .rotations import CompositeRotation, RotationSpec, composite_matrix
 
@@ -235,10 +235,7 @@ def cmd_spectrum(args) -> int:
         }
         _emit(args, (lines, payload), args.out)
         return 0
-    partner = None
-    if built.chiral_partner is not None:
-        partner = composite_matrix(built.chiral_partner, built.dims)
-    report = charpoly.full_solve(shifted, partner=partner)
+    report = charpoly.full_solve(shifted)
     # the polynomial pipeline works on H - shift; add the shift back so both
     # columns are physical energies
     numeric_phys = [v + built.shift for v in report.numeric_eigenvalues]
@@ -349,6 +346,8 @@ def _matrix_from_doc(doc, origin):
         raise ValueError(f"{origin}: dims must be a non-empty list of positive integers, got {raw!r}")
     dims = tuple(int(d) for d in raw)
     n = math.prod(dims)
+    if n > MAX_HILBERT_DIM:
+        raise ValueError(f"{origin}: matrix has dimension {n}, above the limit {MAX_HILBERT_DIM}")
     entries = doc["entries"]
     if not isinstance(entries, list) or len(entries) != n * n:
         raise ValueError(f"{origin}: expected {n * n} [re, im] entries")

@@ -39,7 +39,6 @@ __all__ = [
     "iter_parameter_sweep",
     "load_model_file",
     "parameter_names",
-    "parameter_sweep",
     "parse_model",
     "read_json_file",
     "shifted_hamiltonian",
@@ -280,7 +279,7 @@ def parameter_names(spec) -> tuple[str, ...]:
     return tuple(f.name for f in dataclasses.fields(spec) if f.name not in _SPIN_FIELDS)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BuiltModel:
     """A constructed model: ``shifted`` = H - shift*I, the part that
     anticommutes with ``chiral_partner`` (the shift is zero for most
@@ -288,7 +287,9 @@ class BuiltModel:
     condition fails for these parameters, with the reason in ``condition_note``.
 
     The partner and the note come from ``spec.condition()`` the first time
-    either is read, once per model: a scan step reads neither.
+    either is read, once per model: a scan step and ``spectrum`` read
+    neither. A model compares and hashes by identity, as its matrix has no
+    single truth value.
     """
 
     spec: ModelSpec
@@ -377,11 +378,6 @@ def iter_parameter_sweep(spec, param_name: str, values):
     ops = _slot_operators(spec)
     for v in values:
         yield _assembled(dataclasses.replace(spec, **{param_name: float(v)}), ops)
-
-
-def parameter_sweep(spec, param_name: str, values) -> list[BuiltModel]:
-    """Rebuild the model at each value of one real parameter."""
-    return list(iter_parameter_sweep(spec, param_name, values))
 
 
 def parse_model(doc) -> ModelSpec:

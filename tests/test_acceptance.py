@@ -189,7 +189,7 @@ def test_criterion_06_figure3_property():
         )
     for delta, e_field, theta in settings:
         spec = OHMolecule(delta=delta, E=e_field, theta=theta)
-        swept = models.parameter_sweep(spec, "B", np.linspace(0.0, 2.0, 101))
+        swept = list(models.iter_parameter_sweep(spec, "B", np.linspace(0.0, 2.0, 101)))
         assert len(swept) == 101
         r = composite_matrix(swept[0].chiral_partner, swept[0].dims)
         for built in swept:
@@ -271,7 +271,7 @@ def test_criterion_09_oracle_equivalence():
         seed = 0.5 * (g + g.conj().T)
         h = 0.5 * (seed - c @ seed @ c.conj().T)
         assert chiral.classify(c, h).residual_anticommute < 1e-12
-        report = charpoly.full_solve(h, partner=c)
+        report = charpoly.full_solve(h)
         assert report.method is charpoly.SolveMethod.RADICALS
         assert len(report.closed_form_eigenvalues) == n
         assert report.max_root_deviation < 1e-8

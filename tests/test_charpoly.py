@@ -20,7 +20,6 @@ from chiralspin.charpoly import (
     solve_reduced,
 )
 from chiralspin.models import CrossedFields, GeneralField, OHMolecule, ToyCoupled, TriaxialRotor
-from chiralspin.rotations import composite_matrix
 
 from helpers import (
     FAMILIES,
@@ -263,8 +262,7 @@ def test_full_solve_one_dimensional():
 
 def test_full_solve_oh_quartic():
     built = models.build(OHMolecule(B=0.3))
-    partner = composite_matrix(built.chiral_partner, built.dims)
-    report = full_solve(built.hamiltonian, partner=partner)
+    report = full_solve(built.hamiltonian)
     assert report.charpoly.dim == 8
     assert report.parity_ok
     assert report.method is SolveMethod.RADICALS
@@ -302,8 +300,7 @@ def test_root_set_equivalence_across_chiral_models(rng):
     cases.append(models.build(TriaxialRotor("2", 1.0, 1.0 / 3.0, 0.5)))
     for built in cases:
         shifted = models.shifted_hamiltonian(built)
-        partner = composite_matrix(built.chiral_partner, built.dims)
-        report = full_solve(shifted, partner=partner)
+        report = full_solve(shifted)
         assert report.method is SolveMethod.RADICALS
         assert report.max_root_deviation < 1e-8 * max(1.0, linalg.frobenius(shifted))
 
@@ -472,11 +469,3 @@ def test_full_solve_many_zero_modes_still_radicals():
     assert report.parity_ok and report.zero_root_multiplicity == 8
     assert report.method is SolveMethod.RADICALS
     assert np.allclose(report.closed_form_eigenvalues, [-2, -1] + [0] * 8 + [1, 2], atol=1e-12)
-
-
-def test_full_solve_rejects_anticommuting_partner_of_unpaired_spectrum(rng):
-    h = random_hermitian(rng, 4)
-    with pytest.raises(SpectrumInconsistencyError, match="not mirror-paired"):
-        # the zero operator classifies as "both" against any H
-        full_solve(h, partner=np.zeros((4, 4)))
-    assert not full_solve(h, partner=np.eye(4)).parity_ok

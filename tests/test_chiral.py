@@ -483,7 +483,7 @@ def _assert_chiral_identities(c, h):
     mapped = chiral_map_check(c, h)
     assert mapped.ok, dim
     assert mapped.checked == dim - dim % 2
-    solved = full_solve(h, partner=c)
+    solved = full_solve(h)
     assert solved.parity_ok, dim
     assert solved.zero_root_multiplicity == dim % 2, dim
     coeffs = np.array(solved.charpoly.coeffs)

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chiralspin import cli, linalg, models
+from chiralspin import cli, linalg, models, rotations
 from chiralspin.chiral import default_pairing_tol
 from chiralspin.rotations import RotationSpec
 
@@ -465,6 +465,16 @@ def test_search_accepts_integral_float_dims(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "--format", "json", "search", str(path))
     assert code == 0
     assert json.loads(out)["dims"] == [2]
+
+
+@pytest.mark.parametrize("dims", [[5, 5, 41], [2] * 11])
+def test_search_matrix_above_dimension_limit_exits_2(tmp_path, capsys, dims):
+    # the size is refused before the entries are read: these hold none
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"dims": dims, "entries": []}))
+    code, out, err = run_cli(capsys, "search", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: matrix has dimension {math.prod(dims)}, above the limit 1024\n"
 
 
 @pytest.mark.parametrize("command", ["verify", "spectrum", "charpoly", "search", "scan"])
@@ -969,9 +979,9 @@ def test_string_parameter_errors_name_the_parameter(tmp_path, capsys, model, nam
 
 @pytest.mark.parametrize("family", ["crossed_fields", "crossed_fields_shifted", "general_field"])
 @pytest.mark.parametrize("twice_j", [1, 4, 12])
-def test_spectrum_checks_hermiticity_four_times(tmp_path, capsys, monkeypatch, family, twice_j):
-    # once each: the model as built, the partner's rotation generator, the
-    # eigensolve of H - shift and the polynomial's input
+def test_spectrum_checks_hermiticity_three_times(tmp_path, capsys, monkeypatch, family, twice_j):
+    # once each: the model as built, the eigensolve of H - shift and the
+    # polynomial's input
     calls = []
     original = linalg.require_hermitian
 
@@ -986,7 +996,7 @@ def test_spectrum_checks_hermiticity_four_times(tmp_path, capsys, monkeypatch, f
     path = write_model(tmp_path, {"model": family, "j": twice_j / 2, "params": params})
     code, _, _ = run_cli(capsys, "--format", "json", "spectrum", path)
     assert code == 0
-    assert len(calls) == 4
+    assert len(calls) == 3
 
 
 def _model_doc(spec) -> dict:
@@ -1021,6 +1031,22 @@ def test_scan_step_builds_no_partner(tmp_path, capsys, monkeypatch, family):
     assert len(rows) == 7
     assert len(checks) == 2 * 7
     assert rotations == []
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_spectrum_builds_no_partner(tmp_path, capsys, monkeypatch, family):
+    # the polynomial pipeline takes H - shift alone: verify is the one
+    # command where the documented partner meets H
+    specs, matrices = [], []
+    post_init, rotation_matrix = RotationSpec.__post_init__, rotations.rotation_matrix
+    monkeypatch.setattr(RotationSpec, "__post_init__", lambda self: specs.append(1) or post_init(self))
+    monkeypatch.setattr(rotations, "rotation_matrix", lambda *a: matrices.append(1) or rotation_matrix(*a))
+    spec = random_chiral_model(np.random.default_rng(FAMILIES.index(family)), family, max_twice_j=6, coupled_max=3)
+    path = write_model(tmp_path, _model_doc(spec))
+    for fmt in ("text", "json"):
+        code, _, err = run_cli(capsys, "--format", fmt, "spectrum", path)
+        assert (code, err) == (0, "")
+    assert (specs, matrices) == ([], [])
 
 
 @pytest.mark.parametrize("family", FAMILIES)

@@ -153,6 +153,9 @@ def test_help_matches_a_freshly_built_parser(command):
 
 
 NUMBER = re.compile(r"-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+# a right-aligned column pads each number to its width, so the padding
+# changes with the number's length, a minus sign included
+PADDED_NUMBER = re.compile(r" *" + NUMBER.pattern)
 
 
 def _is_number(x) -> bool:
@@ -189,7 +192,7 @@ def _audit(name, old, new) -> str:
         was, now = _leaves(json.loads(old_out)), _leaves(json.loads(new_out))
     else:
         was, now = ({"text": [float(x) for x in NUMBER.findall(out)]} for out in (old_out, new_out))
-        flags += ["TEXT"] * (NUMBER.sub("#", old_out) != NUMBER.sub("#", new_out))
+        flags += ["TEXT"] * (PADDED_NUMBER.sub("#", old_out) != PADDED_NUMBER.sub("#", new_out))
     changes = []
     for key in sorted(was.keys() | now.keys()):
         pairs = list(zip(was.get(key, []), now.get(key, [])))
@@ -205,6 +208,18 @@ def _audit(name, old, new) -> str:
             rel = max(abs(a - b) for a, b in numeric) / scale if scale else 0.0
             changes.append(f"{key} {rel:.2g}")
     return f"changed {name}: " + ", ".join(changes) + "".join(f" [{flag}]" for flag in flags)
+
+
+def test_audit_flags_text_but_not_a_sign_in_a_padded_column():
+    old = (GOLDEN / "spectrum-crossed_fields.text.out").read_text(encoding="utf-8")
+    row = f"{'0':>16} {'-7.30319e-16':>16}"
+    assert row in old
+    flipped = old.replace(row, f"{'0':>16} {'3.50414e-16':>16}")
+    audit = _audit("spectrum-crossed_fields.text.out", old, flipped)
+    assert audit.startswith("changed spectrum-crossed_fields.text.out: text ")
+    assert "[" not in audit
+    reworded = _audit("spectrum-crossed_fields.text.out", old, old.replace("numeric", "numerical"))
+    assert reworded.endswith(" [TEXT]")
 
 
 def _rewrite():

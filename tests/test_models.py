@@ -294,9 +294,22 @@ def test_shifted_hamiltonians_are_traceless(family, rng):
     assert abs(np.trace(shifted)) <= 1e-9 * max(1.0, linalg.frobenius(shifted))
 
 
+def test_built_model_compares_and_hashes_by_identity(monkeypatch):
+    spec = GeneralField("1", 1.0, 2.0, 0.5)
+    calls, condition = [], GeneralField.condition
+    monkeypatch.setattr(GeneralField, "condition", lambda self: calls.append(1) or condition(self))
+    built, again = models.build(spec), models.build(spec)
+    assert built == built and built != again
+    assert len({built, again, built}) == 2
+    # spec.condition() still runs once per model, on first read
+    assert built.chiral_partner is built.chiral_partner
+    assert (built.condition_note, built.chiral_condition_met) == (again.condition_note, True)
+    assert len(calls) == 2
+
+
 def test_parameter_sweep_grid():
     spec = GeneralField("5/2", 1.0, 2.0, 0.0)
-    swept = models.parameter_sweep(spec, "c", np.linspace(-2.0, 2.0, 81))
+    swept = list(models.iter_parameter_sweep(spec, "c", np.linspace(-2.0, 2.0, 81)))
     assert len(swept) == 81
     assert all(b.hamiltonian.shape == (6, 6) for b in swept)
     assert swept[0].spec.c == -2.0
@@ -304,14 +317,15 @@ def test_parameter_sweep_grid():
 
 
 def test_parameter_sweep_empty():
-    assert models.parameter_sweep(GeneralField("1", 1.0, 2.0, 3.0), "c", []) == []
+    assert list(models.iter_parameter_sweep(GeneralField("1", 1.0, 2.0, 3.0), "c", [])) == []
 
 
 def test_parameter_sweep_unknown_name():
     with pytest.raises(ValueError, match="unknown parameter"):
-        models.parameter_sweep(GeneralField("1", 1.0, 2.0, 3.0), "d", [0.0])
+        # the generator checks the name at its first step
+        list(models.iter_parameter_sweep(GeneralField("1", 1.0, 2.0, 3.0), "d", [0.0]))
     with pytest.raises(ValueError, match="unknown parameter"):
-        models.parameter_sweep(GeneralField("1", 1.0, 2.0, 3.0), "j", [0.0])
+        list(models.iter_parameter_sweep(GeneralField("1", 1.0, 2.0, 3.0), "j", [0.0]))
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -320,7 +334,7 @@ def test_parameter_sweep_equals_build_of_each_value(family, rng):
     for name in models.parameter_names(spec):
         value = getattr(spec, name)
         values = [value, 0.5 * value + 0.25, 2.0 * value]
-        for swept, v in zip(models.parameter_sweep(spec, name, values), values, strict=True):
+        for swept, v in zip(models.iter_parameter_sweep(spec, name, values), values, strict=True):
             built = models.build(dataclasses.replace(spec, **{name: v}))
             assert swept.spec == built.spec
             assert swept.shifted.tobytes() == built.shifted.tobytes()
@@ -329,7 +343,7 @@ def test_parameter_sweep_equals_build_of_each_value(family, rng):
 
 
 def test_oh_field_sweep_stays_paired():
-    swept = models.parameter_sweep(OHMolecule(), "B", np.linspace(0.0, 2.0, 11))
+    swept = models.iter_parameter_sweep(OHMolecule(), "B", np.linspace(0.0, 2.0, 11))
     for built in swept:
         eig = linalg.hermitian_eigensolve(built.hamiltonian)
         tol = 1e-9 * max(1.0, linalg.frobenius(built.hamiltonian))
