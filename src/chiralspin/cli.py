@@ -292,14 +292,16 @@ def cmd_scan(args) -> int:
         + [f"lambda_{i}" for i in range(1, len(first[1]) + 1)]
         + ["pairing_ok", "max_pair_mismatch"]
     )
+    # one format per row; "%.17g" % x is f"{x:.17g}", and the name is an
+    # identifier (the sweep checked it), so it holds no "%"
+    row = f"{args.param},%.17g{',%.17g' * len(first[1])},%s,%.17g\n"
     failure = None
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         try:
             fh.write(",".join(header) + "\n")
             for value, eigs, report in itertools.chain([first], solved):
-                cells = [args.param, f"{value:.17g}", *[f"{v:.17g}" for v in eigs.tolist()],
-                         "true" if report.is_chiral_paired else "false", f"{report.max_mismatch:.17g}"]
-                fh.write(",".join(cells) + "\n")
+                fh.write(row % (value, *eigs.tolist(), "true" if report.is_chiral_paired else "false",
+                                report.max_mismatch))
                 if failure is None and not report.is_chiral_paired:
                     failure = {"param_value": value, "max_pair_mismatch": report.max_mismatch}
         except BaseException:

@@ -56,13 +56,19 @@ class ModelSpec:
     fields are spin labels (``j``, ``j1``, ``j2``) and real parameters.
     Construction parses the labels and makes every parameter a finite float;
     numeric parameters also accept the angle literals of ``parse_angle``.
+    ``check_parameters()`` then applies the family's own rule, if it has one.
 
-    ``assemble(ops)`` takes each slot's spin operators and returns H - shift*I
-    from the family's own algebra and the shift. ``condition()`` returns the
+    H - shift*I is a real combination of Hermitian operator products, so it
+    is Hermitian by construction. ``terms(ops)`` takes each slot's spin
+    operators and returns the products; ``coefficients()`` returns one real
+    coefficient per term and the shift. The terms depend on the spin labels
+    and on the parameters named in ``term_parameters`` alone, so a scan of
+    any other parameter builds them once. ``condition()`` returns the
     documented partner (None when the family's condition fails) and a note on
     the condition; neither depends on the spin operators."""
 
     tag: ClassVar[str]
+    term_parameters: ClassVar[tuple[str, ...]] = ()
 
     def __post_init__(self):
         for f in dataclasses.fields(self):
@@ -78,9 +84,17 @@ class ModelSpec:
                 value = math.inf
             except ValueError as exc:  # a string parse_angle refuses
                 raise ValueError(f"parameter {f.name!r}: {exc}") from None
-            if not math.isfinite(value):
-                raise ValueError(f"parameter {f.name!r} must be finite")
-            object.__setattr__(self, f.name, value)
+            object.__setattr__(self, f.name, _finite(f.name, value))
+        self.check_parameters()
+
+    def check_parameters(self):
+        """The family's own rule on its parsed parameters; most have none."""
+
+
+def _finite(name: str, value: float) -> float:
+    if not math.isfinite(value):
+        raise ValueError(f"parameter {name!r} must be finite")
+    return value
 
 
 @dataclass(frozen=True)
@@ -93,8 +107,11 @@ class CrossedFields(ModelSpec):
 
     tag: ClassVar[str] = "crossed_fields"
 
-    def assemble(self, ops):
-        return self.a * ops[0].jx + self.b * ops[0].jy, 0.0
+    def terms(self, ops):
+        return ops[0].jx, ops[0].jy
+
+    def coefficients(self):
+        return (self.a, self.b), 0.0
 
     def condition(self):
         return _partner((0, Z_AXIS, math.pi)), "a pi rotation about z flips both Jx and Jy"
@@ -115,9 +132,12 @@ class CrossedFieldsShifted(ModelSpec):
 
     tag: ClassVar[str] = "crossed_fields_shifted"
 
-    def assemble(self, ops):
+    def terms(self, ops):
+        return ops[0].jx, ops[0].jy
+
+    def coefficients(self):
         tj = self.j.twice_j
-        return self.a * ops[0].jx + self.b * ops[0].jy, self.c * tj * (tj + 2) / 4.0
+        return (self.a, self.b), self.c * tj * (tj + 2) / 4.0
 
     def condition(self):
         return _partner((0, Z_AXIS, math.pi)), "c J^2 is the constant c j(j+1); the remainder is chiral"
@@ -135,8 +155,11 @@ class GeneralField(ModelSpec):
 
     tag: ClassVar[str] = "general_field"
 
-    def assemble(self, ops):
-        return self.a * ops[0].jx + self.b * ops[0].jy + self.c * ops[0].jz, 0.0
+    def terms(self, ops):
+        return ops[0].jx, ops[0].jy, ops[0].jz
+
+    def coefficients(self):
+        return (self.a, self.b, self.c), 0.0
 
     def condition(self):
         if self.a or self.b:
@@ -167,12 +190,15 @@ class TriaxialRotor(ModelSpec):
 
     tag: ClassVar[str] = "triaxial_rotor"
 
-    def __post_init__(self):
-        super().__post_init__()
+    def check_parameters(self):
         if min(self.ix, self.iy, self.iz) <= 0.0:
             raise ValueError("moments of inertia must be strictly positive")
 
-    def assemble(self, ops):
+    def terms(self, ops):
+        jx, jy = ops[0].jx, ops[0].jy
+        return jx @ jx, jy @ jy
+
+    def coefficients(self):
         tj = self.j.twice_j
         jj = tj * (tj + 2) / 4.0
         shift = _require_shift(self, jj / (2.0 * self.iz))
@@ -186,8 +212,7 @@ class TriaxialRotor(ModelSpec):
                     f"parameter {name!r} = {getattr(self, name):.3e} is too small: "
                     f"1/2{name} = {b:.3e} overflows the rotor terms at j = {self.j}"
                 )
-        jx, jy = ops[0].jx, ops[0].jy
-        return (bx - bz) * (jx @ jx) + (by - bz) * (jy @ jy), shift
+        return (bx - bz, by - bz), shift
 
     def condition(self):
         residual = abs(1.0 / self.ix + 1.0 / self.iy - 2.0 / self.iz)
@@ -211,9 +236,12 @@ class ToyCoupled(ModelSpec):
 
     tag: ClassVar[str] = "toy_coupled"
 
-    def assemble(self, ops):
+    def terms(self, ops):
         o1, o2 = ops
-        return self.A * linalg.kron(o1.jy, o2.jy) + self.B * linalg.kron(o1.jz, o2.jz), 0.0
+        return linalg.kron(o1.jy, o2.jy), linalg.kron(o1.jz, o2.jz)
+
+    def coefficients(self):
+        return (self.A, self.B), 0.0
 
     def condition(self):
         return (_partner((0, Y_AXIS, math.pi), (1, Z_AXIS, math.pi)),
@@ -233,17 +261,18 @@ class OHMolecule(ModelSpec):
     theta: float = math.pi / 4.0
 
     tag: ClassVar[str] = "oh_molecule"
+    # theta sits inside the coupling term: split into E cos(theta) J1x J2z
+    # and -E sin(theta) J1x J2x, H would differ in its last bits
+    term_parameters: ClassVar[tuple[str, ...]] = ("theta",)
 
-    def assemble(self, ops):
+    def terms(self, ops):
         o1, o2 = ops
         dims = (o1.dim, o2.dim)
         tilted = math.cos(self.theta) * o2.jz - math.sin(self.theta) * o2.jx
-        h = (
-            self.delta * embed(o1.jz, 0, dims)
-            + self.B * embed(o2.jz, 1, dims)
-            + self.E * linalg.kron(o1.jx, tilted)
-        )
-        return h, 0.0
+        return embed(o1.jz, 0, dims), embed(o2.jz, 1, dims), linalg.kron(o1.jx, tilted)
+
+    def coefficients(self):
+        return (self.delta, self.B, self.E), 0.0
 
     def condition(self):
         return (_partner((0, X_AXIS, math.pi), (1, Y_AXIS, math.pi)),
@@ -332,12 +361,19 @@ def _require_shift(spec, shift: float) -> float:
     return shift
 
 
-def _assembled(spec, ops) -> BuiltModel:
-    """The model from its slots' spin operators; a shift or a norm above
-    ``linalg.MAX_NORM`` raises."""
-    shifted, shift = spec.assemble(ops)
+def _assembled(spec, terms) -> BuiltModel:
+    """The model as the sum of the spec's coefficients times ``terms``, in
+    the family's order. A real combination of Hermitian terms is Hermitian,
+    so only what the values can break is checked: an entry that overflowed,
+    and a shift or a norm above ``linalg.MAX_NORM``."""
+    coefficients, shift = spec.coefficients()
     _require_shift(spec, shift)
-    linalg.require_hermitian(shifted, "model Hamiltonian")
+    shifted = coefficients[0] * terms[0]
+    for c, term in zip(coefficients[1:], terms[1:], strict=True):
+        shifted += c * term
+    norm = linalg.frobenius(linalg.as_matrix(shifted))
+    if not norm <= linalg.MAX_NORM:
+        raise ValueError(f"model Hamiltonian has Frobenius norm {norm:.3e}, above the limit {linalg.MAX_NORM:.3e}")
     return BuiltModel(spec, shifted, shift)
 
 
@@ -354,8 +390,12 @@ def _slot_operators(spec):
 
 def build(spec) -> BuiltModel:
     """Assemble H - shift*I and the shift constant; a shift or a norm above
-    ``linalg.MAX_NORM`` raises. The chiral partner is built when read."""
-    return _assembled(spec, _slot_operators(spec))
+    ``linalg.MAX_NORM`` raises. The model is also checked for Hermiticity,
+    which guards the families' terms; a scan step leaves that check to its
+    eigensolve. The chiral partner is built when read."""
+    model = _assembled(spec, spec.terms(_slot_operators(spec)))
+    linalg.require_hermitian(model.shifted, "model Hamiltonian")
+    return model
 
 
 def shifted_hamiltonian(model: BuiltModel) -> np.ndarray:
@@ -365,10 +405,22 @@ def shifted_hamiltonian(model: BuiltModel) -> np.ndarray:
     return model.shifted
 
 
+def _with_parameter(spec, name: str, value):
+    """``spec`` with one parameter set to the float ``value``, checked as
+    construction checks it. The other fields were parsed and checked when
+    ``spec`` was made, so they are copied, not parsed again."""
+    step = object.__new__(type(spec))
+    step.__dict__.update(spec.__dict__)
+    step.__dict__[name] = _finite(name, float(value))
+    step.check_parameters()
+    return step
+
+
 def iter_parameter_sweep(spec, param_name: str, values):
     """Yield the model at each value of one real parameter. The name and
-    size checks and the spin operators are done once, before the first
-    model; only the parameter changes between models."""
+    size checks, the spin operators and the operator terms are done once,
+    before the first model; only the coefficients change between models,
+    unless the parameter is one the terms depend on."""
     names = parameter_names(spec)
     if param_name not in names:
         raise ValueError(
@@ -376,8 +428,10 @@ def iter_parameter_sweep(spec, param_name: str, values):
             f"expected one of: {', '.join(names)}"
         )
     ops = _slot_operators(spec)
+    terms = None if param_name in spec.term_parameters else spec.terms(ops)
     for v in values:
-        yield _assembled(dataclasses.replace(spec, **{param_name: float(v)}), ops)
+        step = _with_parameter(spec, param_name, v)
+        yield _assembled(step, step.terms(ops) if terms is None else terms)
 
 
 def parse_model(doc) -> ModelSpec:

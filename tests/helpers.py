@@ -112,6 +112,29 @@ def chiral_model_at_dim(rng, family, dim):
     return dataclasses.replace(spec, j=SpinLabel(dim - 1))
 
 
+def reference_model_matrix(spec) -> np.ndarray:
+    """Reference for ``models.build(spec).shifted``: each family's H - shift*I
+    as one formula in its spin operators, adding the terms in the order the
+    family adds them, so that the two agree bit for bit."""
+    if spec.tag in ("toy_coupled", "oh_molecule"):
+        o1, o2 = build_spin_operators(spec.j1), build_spin_operators(spec.j2)
+        if spec.tag == "toy_coupled":
+            return spec.A * np.kron(o1.jy, o2.jy) + spec.B * np.kron(o1.jz, o2.jz)
+        tilted = math.cos(spec.theta) * o2.jz - math.sin(spec.theta) * o2.jx
+        return (
+            spec.delta * np.kron(o1.jz, identity(o2.dim))
+            + spec.B * np.kron(identity(o1.dim), o2.jz)
+            + spec.E * np.kron(o1.jx, tilted)
+        )
+    o = build_spin_operators(spec.j)
+    if spec.tag == "triaxial_rotor":
+        bx, by, bz = (1.0 / (2.0 * i) for i in (spec.ix, spec.iy, spec.iz))
+        return (bx - bz) * (o.jx @ o.jx) + (by - bz) * (o.jy @ o.jy)
+    if spec.tag == "general_field":
+        return spec.a * o.jx + spec.b * o.jy + spec.c * o.jz
+    return spec.a * o.jx + spec.b * o.jy
+
+
 def reference_charpoly(eigenvalues):
     """Ascending coefficients of det(H - lambda I) from the spectrum, and a
     per-coefficient tolerance 1e-9 e_k(|lambda|) + 1e-11 max_k e_k(|lambda|),

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chiralspin import cli, linalg, models, rotations
+from chiralspin import angmom, charpoly, chiral, cli, linalg, models, rotations
 from chiralspin.chiral import default_pairing_tol
 from chiralspin.rotations import RotationSpec
 
@@ -1021,16 +1021,55 @@ def _scan_first_parameter(tmp_path, capsys, family, seed, steps):
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_scan_step_builds_no_partner(tmp_path, capsys, monkeypatch, family):
-    # per step: H - shift is checked as the model is built and again by the
-    # eigensolve; nothing reads the partner, so no RotationSpec is made
+    # per step: the eigensolve checks H - shift; the model is a real
+    # combination of Hermitian terms, so the sweep checks only its entries
+    # and norm. Nothing reads the partner, so no RotationSpec is made
     checks, rotations = [], []
     check, post_init = linalg.require_hermitian, RotationSpec.__post_init__
     monkeypatch.setattr(linalg, "require_hermitian", lambda *a, **kw: checks.append(1) or check(*a, **kw))
     monkeypatch.setattr(RotationSpec, "__post_init__", lambda self: rotations.append(1) or post_init(self))
     _, _, rows = _scan_first_parameter(tmp_path, capsys, family, FAMILIES.index(family), steps=7)
     assert len(rows) == 7
-    assert len(checks) == 2 * 7
+    assert len(checks) == 7
     assert rotations == []
+
+
+@pytest.mark.parametrize("family", ["toy_coupled", "oh_molecule"])
+def test_scan_builds_operator_terms_once(tmp_path, capsys, monkeypatch, family):
+    # the Kronecker products and embeddings in H - shift do not change along
+    # a scan, so a longer scan makes no more of them
+    counts = dict.fromkeys(("kron", "embed"), 0)
+    for name, module in (("kron", linalg), ("embed", angmom)):
+        original = getattr(module, name)
+
+        def counting(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        # every module that imported the function, as the benchmark tracer patches it
+        for mod in (angmom, charpoly, chiral, cli, linalg, models, rotations):
+            for key, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, key, counting)
+    seen = []
+    for steps in (7, 33):
+        counts.update(kron=0, embed=0)
+        _, _, rows = _scan_first_parameter(tmp_path, capsys, family, FAMILIES.index(family), steps=steps)
+        assert len(rows) == steps
+        seen.append(dict(counts))
+    assert seen[0] == seen[1] and seen[0]["kron"] > 0, seen
+
+
+def test_scan_into_nonpositive_inertia_exits_2(tmp_path, capsys):
+    # a step checks its value by the family's own rule, as a model file's
+    # values are checked
+    path = write_model(tmp_path, {"model": "triaxial_rotor", "j": "2",
+                                  "params": {"ix": 1.0, "iy": 0.5, "iz": 2.0 / 3.0}})
+    out_csv = tmp_path / "scan.csv"
+    code, out, err = run_cli(capsys, "--out", str(out_csv), "scan", path, "--param", "ix",
+                             "--from", "1", "--to", "-1", "--steps", "3")
+    assert (code, out, err) == (2, "", "error: moments of inertia must be strictly positive\n")
+    assert not out_csv.exists()
 
 
 @pytest.mark.parametrize("family", FAMILIES)

@@ -18,7 +18,13 @@ from chiralspin.models import (
 )
 from chiralspin.rotations import composite_matrix
 
-from helpers import FAMILIES, anticommutator, expected_general_field_j52, random_chiral_model
+from helpers import (
+    FAMILIES,
+    anticommutator,
+    expected_general_field_j52,
+    random_chiral_model,
+    reference_model_matrix,
+)
 
 
 def test_general_field_j1_matrix():
@@ -205,6 +211,24 @@ def test_hamiltonians_are_hermitian(family, rng):
         assert defect <= 1e-12 * max(1.0, linalg.frobenius(built.hamiltonian))
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+def test_built_model_equals_the_reference_formula(family, rng):
+    # guards the split into operator terms and coefficients: a dropped,
+    # mis-signed or reordered term shows as a changed bit. A scan step
+    # leaves Hermiticity to the terms, so each term must be Hermitian
+    for _ in range(8):
+        spec = random_chiral_model(rng, family, max_twice_j=12, coupled_max=5)
+        draw = {name: rng.uniform(-2.0, 2.0) for name in models.parameter_names(spec)}
+        if family == "triaxial_rotor":  # any positive moments, chiral or not
+            draw = {name: rng.uniform(0.2, 2.0) for name in draw}
+        if family == "oh_molecule":
+            draw.update(j1=SpinLabel(int(rng.integers(1, 6))), j2=SpinLabel(int(rng.integers(1, 6))))
+        spec = dataclasses.replace(spec, **draw)
+        assert models.build(spec).shifted.tobytes() == reference_model_matrix(spec).tobytes()
+        for term in spec.terms([build_spin_operators(label) for label in models.spin_labels(spec)]):
+            assert linalg.frobenius(term - term.conj().T) <= 1e-12 * max(1.0, linalg.frobenius(term))
+
+
 @pytest.mark.parametrize(
     "family",
     ("crossed_fields", "crossed_fields_shifted", "general_field",
@@ -326,6 +350,12 @@ def test_parameter_sweep_unknown_name():
         list(models.iter_parameter_sweep(GeneralField("1", 1.0, 2.0, 3.0), "d", [0.0]))
     with pytest.raises(ValueError, match="unknown parameter"):
         list(models.iter_parameter_sweep(GeneralField("1", 1.0, 2.0, 3.0), "j", [0.0]))
+
+
+def test_parameter_sweep_rejects_a_non_finite_value():
+    # a step copies the parsed spec, so its one new value is checked alone
+    with pytest.raises(ValueError, match="parameter 'c' must be finite"):
+        list(models.iter_parameter_sweep(GeneralField("1", 1.0, 2.0, 3.0), "c", [0.0, math.nan]))
 
 
 @pytest.mark.parametrize("family", FAMILIES)
