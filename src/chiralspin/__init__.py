@@ -51,7 +51,6 @@ from .rotations import (
     CompositeRotation,
     RotationSpec,
     composite_matrix,
-    rotation_identity_residual,
     rotation_matrix,
 )
 

@@ -18,9 +18,7 @@ from .rotations import (
     X_AXIS,
     Y_AXIS,
     Z_AXIS,
-    parse_angle,
     rotation_matrix,
-    unit_axis,
 )
 
 __all__ = [
@@ -134,18 +132,20 @@ def spectral_pairing(h) -> tuple[np.ndarray, PairingReport]:
     return eigenvalues, pairing_check(eigenvalues, default_pairing_tol(h))
 
 
-def search_partners(h, dims, angles=None, axes=None,
-                    tol: float = DEFAULT_TOL) -> list[tuple[CompositeRotation, SymmetryVerdict]]:
+def search_partners(h, dims, tol: float = DEFAULT_TOL) -> list[tuple[CompositeRotation, SymmetryVerdict]]:
     """Return every composite rotation from the candidate family that
     anticommutes with H, each with its ``classify`` verdict.
 
-    Each slot independently takes no rotation or one (axis, angle) pair from
-    the family; candidates are enumerated in a fixed lexicographic order, slot
-    0 slowest, so the output order is deterministic. Phase-equivalent
-    operators built from different factor lists are reported separately. A
-    spin-0 slot (d = 1) takes no rotation, since all its rotations are [[1]].
+    The family is fixed: each slot independently takes no rotation or one
+    (axis, angle) pair from DEFAULT_SEARCH_AXES x DEFAULT_SEARCH_ANGLES.
+    Candidates are enumerated in a fixed lexicographic order, slot 0 slowest,
+    so the output order is deterministic. Phase-equivalent operators built
+    from different factor lists are reported separately. A spin-0 slot
+    (d = 1) takes no rotation, since all its rotations are [[1]], and is not
+    a level of the walk: the slots of dimension >= 2 multiply to at most
+    MAX_HILBERT_DIM = 1024, so the walk is at most 10 levels deep.
 
-    The enumeration is a depth-first walk over the slots. The identity and
+    The enumeration is a depth-first walk over those slots. The identity and
     the rotation factors of each slot dimension are built once per call, and
     a prefix P on the first slots S grows by ``linalg.kron`` in the order
     ``composite_matrix`` uses, so every candidate that reaches ``classify``
@@ -171,42 +171,41 @@ def search_partners(h, dims, angles=None, axes=None,
         )
     if any(d < 1 for d in dims):
         raise ValueError(f"subsystem dimensions must be positive, got {dims}")
-    axes = DEFAULT_SEARCH_AXES if axes is None else tuple(unit_axis(a) for a in axes)
-    angles = DEFAULT_SEARCH_ANGLES if angles is None else tuple(parse_angle(a) for a in angles)
-    choices = [(axis, angle) for axis in axes for angle in angles]
+    choices = [(axis, angle) for axis in DEFAULT_SEARCH_AXES for angle in DEFAULT_SEARCH_ANGLES]
+    slots = [s for s, d in enumerate(dims) if d > 1]
     factors = {}
-    for d in set(dims):
+    for d in {dims[s] for s in slots}:
         ops = build_spin_operators(SpinLabel(d - 1))
         factors[d] = [linalg.identity(d)] + [
-            rotation_matrix(RotationSpec(0, axis, angle), ops) for axis, angle in choices if d > 1
+            rotation_matrix(RotationSpec(0, axis, angle), ops) for axis, angle in choices
         ]
-    # reduced[k] and cut[k] judge a prefix on the first k slots
+    # reduced[k] and cut[k] judge a prefix on the first k walked slots
     hnorm = linalg.frobenius(h)
     tol_floor = max(tol, n * np.finfo(float).eps)
     reduced, cut = [], []
     d_s = 1
-    for d in dims:
+    for s in slots:
         d_rest = n // d_s
         block = h.reshape(d_s, d_rest, d_s, d_rest)
         reduced.append(np.trace(block, axis1=1, axis2=3) / d_rest)
         cut.append(2.0 * tol_floor * math.sqrt(n / d_rest) * hnorm)
-        d_s *= d
-    picks = [0] * len(dims)
+        d_s *= dims[s]
+    picks = [0] * len(slots)
     found = []
 
-    def walk(slot, prefix):
-        if slot == len(dims):
+    def walk(level, prefix):
+        if level == len(slots):
             if any(picks) and (verdict := classify(prefix, h, tol)).kind is Symmetry.ANTICOMMUTING:
                 found.append((CompositeRotation(tuple(
-                    RotationSpec(s, *choices[p - 1]) for s, p in enumerate(picks) if p
+                    RotationSpec(s, *choices[p - 1]) for s, p in zip(slots, picks) if p
                 )), verdict))
             return
-        h_s = reduced[slot]
-        if linalg.frobenius(prefix @ h_s @ prefix.conj().T + h_s) >= cut[slot]:
+        h_s = reduced[level]
+        if linalg.frobenius(prefix @ h_s @ prefix.conj().T + h_s) >= cut[level]:
             return
-        for pick, factor in enumerate(factors[dims[slot]]):
-            picks[slot] = pick
-            walk(slot + 1, linalg.kron(prefix, factor))
+        for pick, factor in enumerate(factors[dims[slots[level]]]):
+            picks[level] = pick
+            walk(level + 1, linalg.kron(prefix, factor))
 
     walk(0, np.ones((1, 1), dtype=np.complex128))
     return found

@@ -103,6 +103,8 @@ def _rotation_from_text(text) -> CompositeRotation:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"rotation is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ValueError("rotation is nested too deeply to parse") from None
     if isinstance(doc, dict):
         doc = [doc]
     if not isinstance(doc, list) or not doc:
@@ -221,7 +223,7 @@ def cmd_spectrum(args) -> int:
     built = models.build(models.load_model_file(args.model_file))
     tag, shifted = built.spec.tag, built.shifted
     if args.method == "numeric":
-        numeric = chiral.spectral_pairing(shifted)[0] + built.shift
+        numeric = linalg.hermitian_eigensolve(shifted, vectors=False).eigenvalues + built.shift
         lines = [
             f"model: {tag} (dim {shifted.shape[0]})",
             "method: numeric_only (requested)",

@@ -474,12 +474,15 @@ def parse_model(doc) -> ModelSpec:
 
 
 def read_json_file(path):
-    """The JSON document in a file; a syntax error names the file."""
+    """The JSON document in a file; a syntax error or nesting too deep for
+    the decoder names the file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: not valid JSON ({exc})") from None
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to parse") from None
 
 
 def load_model_file(path, doc=None) -> ModelSpec:

@@ -1,6 +1,5 @@
-"""Rotation unitaries exp(-i theta n.J), products of them across subsystems,
-and the axis-angle conjugation identity used to certify anticommuting
-partners."""
+"""Rotation unitaries exp(-i theta n.J) and products of them across
+subsystems."""
 
 from __future__ import annotations
 
@@ -21,7 +20,6 @@ __all__ = [
     "Z_AXIS",
     "composite_matrix",
     "parse_angle",
-    "rotation_identity_residual",
     "rotation_matrix",
     "unit_axis",
 ]
@@ -161,27 +159,3 @@ def composite_matrix(rot: CompositeRotation, dims) -> np.ndarray:
         out = linalg.kron(out, factor)
     return out
 
-
-def rotation_identity_residual(axis, vec, theta, ops: SpinOperators) -> float:
-    """Frobenius deviation of R_n(theta) (a.J) R_n(theta)† from its axis-angle
-    expansion
-
-        cos(theta) a.J + sin(theta) (n x a).J + (1 - cos(theta)) (n.a) (n.J)
-
-    where n.a is a scalar. Vanishes identically, so the return value measures
-    only numerical error; at theta = pi with n.a = 0 the expansion collapses
-    to -a.J, the anticommuting-partner construction.
-    """
-    n = np.asarray(unit_axis(axis), dtype=float)
-    a = np.asarray(vec, dtype=float).reshape(-1)
-    if a.shape != (3,) or not np.all(np.isfinite(a)):
-        raise ValueError(f"expected a finite 3-vector, got {vec!r}")
-    theta = parse_angle(theta)
-    r = linalg.unitary_exp(ops.along(n), theta)
-    lhs = r @ ops.along(a) @ r.conj().T
-    rhs = (
-        math.cos(theta) * ops.along(a)
-        + math.sin(theta) * ops.along(np.cross(n, a))
-        + (1.0 - math.cos(theta)) * float(np.dot(n, a)) * ops.along(n)
-    )
-    return linalg.frobenius(lhs - rhs)

@@ -1,9 +1,10 @@
 """Shared test utilities: seeded random matrices and model draws, and the
 reference code the package is checked against: the commutator pair behind
 ``classify``'s residuals, a scalar loop for ``pairing_check``, the
-brute-force partner search, the Jacobi eigensolver, the Faddeev-LeVerrier
-characteristic polynomial, and the eigenvector-map, odd-power-trace and
-ladder-action checks of the paper's identities. No command calls these."""
+brute-force partner search, the axis-angle conjugation identity of a
+rotation, the Jacobi eigensolver, the Faddeev-LeVerrier characteristic
+polynomial, and the eigenvector-map, odd-power-trace and ladder-action
+checks of the paper's identities. No command calls these."""
 
 import dataclasses
 import itertools
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from chiralspin import linalg
-from chiralspin.angmom import SpinLabel, build_spin_operators, embed
+from chiralspin.angmom import SpinLabel, SpinOperators, build_spin_operators, embed
 from chiralspin.charpoly import ZERO_COEFF_TOL, CharPoly, SpectrumInconsistencyError
 from chiralspin.chiral import (
     DEFAULT_SEARCH_ANGLES,
@@ -197,7 +198,7 @@ def reference_pairing_check(eigenvalues, tol: float) -> PairingReport:
     return PairingReport(pairs, zero_modes, paired)
 
 
-def brute_force_search(h, dims, angles=None, axes=None, tol=DEFAULT_TOL):
+def brute_force_search(h, dims, tol=DEFAULT_TOL):
     """Reference for ``chiral.search_partners``: build and classify every
     candidate of the 7^k family from nothing, in ``itertools.product``
     order. A spin-0 slot (d = 1) takes no rotation: each of its rotations
@@ -208,9 +209,7 @@ def brute_force_search(h, dims, angles=None, axes=None, tol=DEFAULT_TOL):
         raise ValueError(
             f"subsystem dims {dims} do not multiply to the matrix dimension {h.shape[0]}"
         )
-    axes = DEFAULT_SEARCH_AXES if axes is None else tuple(unit_axis(a) for a in axes)
-    angles = DEFAULT_SEARCH_ANGLES if angles is None else tuple(parse_angle(a) for a in angles)
-    per_slot = [None] + [(axis, angle) for axis in axes for angle in angles]
+    per_slot = [None] + [(axis, angle) for axis in DEFAULT_SEARCH_AXES for angle in DEFAULT_SEARCH_ANGLES]
     found = []
     for combo in itertools.product(*([None] if d == 1 else per_slot for d in dims)):
         factors = []
@@ -225,6 +224,31 @@ def brute_force_search(h, dims, angles=None, axes=None, tol=DEFAULT_TOL):
         if verdict.kind is Symmetry.ANTICOMMUTING:
             found.append(candidate)
     return found
+
+
+def rotation_identity_residual(axis, vec, theta, ops: SpinOperators) -> float:
+    """Frobenius deviation of R_n(theta) (a.J) R_n(theta)† from its axis-angle
+    expansion
+
+        cos(theta) a.J + sin(theta) (n x a).J + (1 - cos(theta)) (n.a) (n.J)
+
+    where n.a is a scalar. Vanishes identically, so the return value measures
+    only numerical error; at theta = pi with n.a = 0 the expansion collapses
+    to -a.J, the anticommuting-partner construction.
+    """
+    n = np.asarray(unit_axis(axis), dtype=float)
+    a = np.asarray(vec, dtype=float).reshape(-1)
+    if a.shape != (3,) or not np.all(np.isfinite(a)):
+        raise ValueError(f"expected a finite 3-vector, got {vec!r}")
+    theta = parse_angle(theta)
+    r = linalg.unitary_exp(ops.along(n), theta)
+    lhs = r @ ops.along(a) @ r.conj().T
+    rhs = (
+        math.cos(theta) * ops.along(a)
+        + math.sin(theta) * ops.along(np.cross(n, a))
+        + (1.0 - math.cos(theta)) * float(np.dot(n, a)) * ops.along(n)
+    )
+    return linalg.frobenius(lhs - rhs)
 
 
 def spin_chain(rng, dims, coupling="xy", fields=False):

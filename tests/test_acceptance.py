@@ -27,11 +27,10 @@ from chiralspin.rotations import (
     Y_AXIS,
     Z_AXIS,
     composite_matrix,
-    rotation_identity_residual,
     rotation_matrix,
 )
 
-from helpers import expected_general_field_j52, write_model
+from helpers import expected_general_field_j52, rotation_identity_residual, write_model
 
 
 def _report(number, elapsed, detail=""):

@@ -33,7 +33,7 @@ LIBRARY_INTERFACE = {
     ("chiral", "classify"): ("c", "h", "tol"),
     ("chiral", "default_pairing_tol"): ("h",),
     ("chiral", "pairing_check"): ("eigenvalues", "tol"),
-    ("chiral", "search_partners"): ("h", "dims", "angles", "axes", "tol"),
+    ("chiral", "search_partners"): ("h", "dims", "tol"),
     ("chiral", "spectral_pairing"): ("h",),
     ("linalg", "as_matrix"): ("a",),
     ("linalg", "frobenius"): ("a",),
@@ -51,7 +51,6 @@ LIBRARY_INTERFACE = {
     ("models", "shifted_hamiltonian"): ("model",),
     ("rotations", "composite_matrix"): ("rot", "dims"),
     ("rotations", "parse_angle"): ("value",),
-    ("rotations", "rotation_identity_residual"): ("axis", "vec", "theta", "ops"),
     ("rotations", "rotation_matrix"): ("spec", "ops"),
     ("rotations", "unit_axis"): ("vec",),
 }

@@ -244,13 +244,29 @@ def test_search_hits_reclassify_as_anticommuting():
 
 def test_search_spin_zero_slots_offer_only_identity():
     # every rotation of a d = 1 slot is [[1]]: offering all seven would
-    # repeat each hit 7 times per spin-0 slot (4,802 hits here)
+    # repeat each hit 7 times per spin-0 slot (4,802 hits on four slots);
+    # 2000 spin-0 slots were once 2000 levels of a recursive walk
     jz = build_spin_operators("1/2").jz
-    dims = (1, 1, 1, 1, 2)
-    hits = search_partners(jz, dims)
-    assert [hit.describe() for hit, _ in hits] == ["R[4,x](pi)", "R[4,y](pi)"]
-    assert _rotations(hits) == brute_force_search(jz, dims)
+    for dims in ((1, 1, 1, 1, 2), (1,) * 2000 + (2,)):
+        hits = search_partners(jz, dims)
+        last = len(dims) - 1
+        assert [hit.describe() for hit, _ in hits] == [f"R[{last},x](pi)", f"R[{last},y](pi)"]
+        assert _rotations(hits) == brute_force_search(jz, dims)
     assert [hit.describe() for hit, _ in search_partners(jz, (2,))] == ["R[0,x](pi)", "R[0,y](pi)"]
+
+
+def test_search_spin_zero_slots_only_renumber_the_hits():
+    # a d = 1 slot is not a level of the walk: the hits and their verdicts
+    # are those of the same H without it, at the slot indices after it
+    h = spin_chain(np.random.default_rng(12), (2, 3), "xy", fields=True)
+    plain = search_partners(h, (2, 3))
+    assert plain
+    padded = search_partners(h, (1, 2, 1, 1, 3, 1))
+    renumber = {0: 1, 1: 4}
+    assert padded == [
+        (CompositeRotation(tuple(RotationSpec(renumber[f.slot], f.axis, f.angle) for f in rot.factors)), verdict)
+        for rot, verdict in plain
+    ]
 
 
 def test_spectral_pairing_uses_default_tolerance(rng):
@@ -323,13 +339,10 @@ def test_search_matches_brute_force_on_fixtures(h, dims):
         assert classify(composite_matrix(hit, dims), h) == verdict
 
 
-OBLIQUE_AXES = ([1, 0, 0], [0, 1, 0], [0, 0, 1], [0.6, 0.8, 0.0])
-
-
 def _generated_searches():
     """At least 100 seeded (H, dims, search keywords) cases: spin-1/2 and
-    spin-1 chains, wider candidate families, degenerate scales, d = 1 slots,
-    partners planted by construction and other tolerances."""
+    spin-1 chains, mixed slot sizes up to spin 3/2, degenerate scales, d = 1
+    slots, partners planted by construction and other tolerances."""
     rng = np.random.default_rng(4417)
     cases = []
 
@@ -347,13 +360,12 @@ def _generated_searches():
                         add(f"d{d}-k{k}-{coupling}-{fields}", spin_chain(rng, dims, coupling, fields), dims)
         for k in (1, 2):
             for fields in (False, True) if k > 1 else (True,):
-                dims = (d,) * k
-                h = spin_chain(rng, dims, "xy", fields)
-                add(f"d{d}-k{k}-angles", h, dims, angles=["pi", "pi/2", "pi/4"])
-                add(f"d{d}-k{k}-oblique", h, dims, axes=OBLIQUE_AXES)
-        dims = (d, d)
-        add(f"d{d}-k2-wide", spin_chain(rng, dims, "xy", True), dims,
-            angles=["pi", "pi/2", "pi/4"], axes=OBLIQUE_AXES)
+                # one H searched with spin-0 slots placed before, between
+                # and after its slots
+                h = spin_chain(rng, (d,) * k, "xy", fields)
+                add(f"d{d}-k{k}-lead0", h, (1,) + (d,) * k)
+                add(f"d{d}-k{k}-spread0", h, (1,) + (d, 1) * k)
+        add(f"d{d}-k2-mid0", spin_chain(rng, (d, d), "xy", True), (d, 1, d))
         for k in (1, 2, 3) if d == 2 else (1, 2):
             dims = (d,) * k
             n = d**k
@@ -377,6 +389,10 @@ def _generated_searches():
         add(f"planted{dims}", x - c @ x @ c.conj().T, dims)
     dims = (2, 2, 2, 2)
     add("d2-k4-xy-fields", spin_chain(rng, dims, "xy", True), dims)
+    # mixed slot sizes, spin-3/2 slots and spin-0 slots between others
+    for dims in ((2, 3, 2), (3, 3, 2), (4, 4), (4, 2), (2, 4), (2, 1, 3), (3, 1, 1, 2), (2, 1, 2, 1, 2)):
+        for coupling, fields in (("xy", True), ("xyz", False)):
+            add(f"slots{dims}-{coupling}", spin_chain(rng, dims, coupling, fields), dims)
     return cases
 
 

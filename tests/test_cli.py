@@ -164,6 +164,29 @@ def test_verify_malformed_file_exit_2(tmp_path, capsys):
     assert "error" in err
 
 
+# The C decoder recurses once per nesting level and raises RecursionError
+NESTED = "[" * 100_000
+
+
+@pytest.mark.parametrize("argv", [["verify"], ["spectrum"], ["charpoly"], ["search"],
+                                  ["--out", "x.csv", "scan", "--param", "a", "--from", "0", "--to", "1", "--steps", "2"]],
+                         ids=["verify", "spectrum", "charpoly", "search", "scan"])
+def test_deeply_nested_file_exits_2(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "nested.json"
+    path.write_text(NESTED)
+    argv = argv[:1] + [str(path)] + argv[1:] if argv[0] != "--out" else argv[:3] + [str(path)] + argv[3:]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {path}: JSON nested too deeply to parse\n")
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_deeply_nested_rotation_exits_2(tmp_path, capsys):
+    path = write_model(tmp_path, {"model": "crossed_fields", "j": "1/2", "params": {"a": 1.0, "b": 2.0}})
+    code, out, err = run_cli(capsys, "verify", path, "--rotation", "[" * 5000)
+    assert (code, out, err) == (2, "", "error: rotation is nested too deeply to parse\n")
+
+
 def test_spectrum_j1_both_columns(tmp_path, capsys):
     path = write_model(
         tmp_path,
@@ -477,6 +500,15 @@ def test_search_matrix_above_dimension_limit_exits_2(tmp_path, capsys, dims):
     assert err == f"error: {path}: matrix has dimension {math.prod(dims)}, above the limit 1024\n"
 
 
+def test_search_walks_past_thousands_of_spin_zero_slots(tmp_path, capsys):
+    # dim 2, so the parser accepts it; the walk recursed once per slot
+    path = tmp_path / "padded.json"
+    path.write_text(json.dumps({"dims": [1] * 2000 + [2], "entries": [[0.5, 0], [0, 0], [0, 0], [-0.5, 0]]}))
+    code, out, err = run_cli(capsys, "--format", "json", "search", str(path))
+    assert (code, err) == (0, "")
+    assert [hit["description"] for hit in json.loads(out)["hits"]] == ["R[2000,x](pi)", "R[2000,y](pi)"]
+
+
 @pytest.mark.parametrize("command", ["verify", "spectrum", "charpoly", "search", "scan"])
 def test_model_above_dimension_limit_exits_2(tmp_path, capsys, command):
     # 33 x 33 = 1089 > MAX_HILBERT_DIM, though each spin alone is allowed
@@ -750,6 +782,25 @@ def test_large_dims_solve_cleanly(tmp_path, capsys, twice_j):
     code, out, err = run_cli(capsys, "--format", "json", "verify", path)
     assert code == 0 and err == ""
     assert json.loads(out)["verified"] is True
+
+
+@pytest.mark.parametrize("doc", [
+    {"model": "general_field", "j": "1023/2", "params": {"a": 0.5, "b": 0.25, "c": 0.75}},
+    {"model": "general_field", "j": "511/2", "params": {"a": -0.25, "b": 0.5, "c": 0.125}},
+    {"model": "crossed_fields", "j": "511/2", "params": {"a": 0.5, "b": 0.75}},
+], ids=["general-1024", "general-512", "crossed-512"])
+def test_field_spectra_are_exact_at_the_size_cap(tmp_path, capsys, doc):
+    # H = B.J has spectrum |B| m, m = -j ... j; with dyadic fields |B|^2 is exact
+    path = write_model(tmp_path, doc)
+    code, out, err = run_cli(capsys, "--format", "json", "spectrum", path, "--method", "numeric")
+    assert (code, err) == (0, "")
+    got = np.array(json.loads(out)["eigenvalues_numeric"])
+    twice_j = int(doc["j"].split("/")[0])
+    field = math.sqrt(sum(v * v for v in doc["params"].values()))
+    want = field * (np.arange(twice_j + 1) - twice_j / 2)
+    hnorm = field * math.sqrt(twice_j * (twice_j + 2) * (twice_j + 1) / 12)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-14 * hnorm
 
 
 def test_charpoly_above_the_coefficient_bound_exits_1(tmp_path, capsys):
@@ -1225,6 +1276,73 @@ def test_every_magnitude_ends_in_an_answer_or_a_clean_exit(tmp_path, capsys, fam
                 want = np.linalg.eigvalsh(built.shifted) + built.shift
                 got = np.array(payload["eigenvalues_numeric"])
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), magnitude
+
+
+ROTATION_TEXTS = [
+    "null", "[]", "{}", "[[]]", '"pi"', "3", "{", "NaN", "Infinity", "[NaN]",
+    '{"axis": [0, 0, 1]}', '{"angle": "pi"}', '{"axis": [0, 0, 1], "angle": "pi", "spin": 1}',
+    '{"axis": [0.6, 0.8, 0], "angle": "pi"}', '{"axis": [0.6, 0.8], "angle": "pi"}',
+    '{"axis": [1e200, 1e200, 0], "angle": "pi"}', '{"axis": [1e400, 0, 0], "angle": "pi"}',
+    '{"axis": [NaN, 0, 1], "angle": "pi"}', '{"axis": [true, 0, 0], "angle": "pi"}',
+    '{"axis": [0, 0, 1], "angle": NaN}', '{"axis": [0, 0, 1], "angle": Infinity}',
+    '{"axis": [0, 0, 1], "angle": 1e300}', '{"axis": [0, 0, 1], "angle": "pi/3"}',
+    '{"axis": [0, 0, 1], "angle": null}', f'{{"axis": [0, 0, 1], "angle": {10**400}}}',
+    '{"slot": -1, "axis": [0, 0, 1], "angle": "pi"}', '{"slot": 0.5, "axis": [0, 0, 1], "angle": "pi"}',
+    '{"slot": 1e300, "axis": [0, 0, 1], "angle": "pi"}', '{"slot": 1, "axis": [0, 0, 1], "angle": "pi"}',
+    '{"slot": true, "axis": [0, 0, 1], "angle": "pi"}', '{"slot": "0", "axis": [0, 0, 1], "angle": "pi"}',
+    f'{{"slot": {10**400}, "axis": [0, 0, 1], "angle": "pi"}}',
+    '[{"slot": 0, "axis": [0, 1, 0], "angle": "pi"}, {"slot": 1, "axis": [0, 0, 1], "angle": "pi"}]',
+    '[{"slot": 0, "axis": [0, 0, 1], "angle": "pi"}, {"slot": 0, "axis": [1, 0, 0], "angle": "pi"}]',
+]
+BAD_ENTRIES = [[True, 0.0], [0.0, False], ["x", 0.0], ["1", 0.0], [0.5], [], [1.0, 2.0, 3.0],
+               [10**400, 0.0], [0.0, -10**400], None, 1.0]
+
+
+def _clean_exit(capsys, argv) -> int:
+    code, _, err = run_cli(capsys, *argv)
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    return code
+
+
+def _fuzzed_matrix_doc(rng) -> dict:
+    """A matrix document near the parser's edges: spin-0 slots, scales from
+    the smallest subnormal to 1e300, half the time a planted partner (H =
+    X - C X C^dagger for a product C of pi rotations) and, half the time,
+    one malformed entry or, now and then, a nonpositive slot."""
+    dims = [int(d) for d in rng.choice([1, 1, 2, 3], size=int(rng.integers(1, 5)))]
+    n = math.prod(dims)
+    scale = float(rng.choice([5e-324, 1e-300, 1e-13, 1.0, 1e13, 1e300]))
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    h = 0.5 * (a + a.conj().T)
+    if rng.random() < 0.5:
+        c = rotations.composite_matrix(rotations.CompositeRotation(tuple(
+            RotationSpec(slot, ((1, 0, 0), (0, 1, 0), (0, 0, 1))[rng.integers(3)], "pi")
+            for slot in range(len(dims)))), dims)
+        h = h - c @ h @ c.conj().T
+    entries = [[float(v.real), float(v.imag)] for v in (scale * h).reshape(-1)]
+    if rng.random() < 0.5:
+        entries[int(rng.integers(n * n))] = BAD_ENTRIES[int(rng.integers(len(BAD_ENTRIES)))]
+    if rng.random() < 0.1:
+        dims.append(int(rng.choice([0, -1])))
+    return {"dims": dims, "entries": entries}
+
+
+def test_input_boundary_fuzz_ends_in_an_answer_or_a_clean_exit(tmp_path, capsys):
+    # every run returns 0, 1 or 2, and an exit 2 prints one error line
+    rng = np.random.default_rng(2117)
+    path = tmp_path / "matrix.json"
+    codes = set()
+    for _ in range(240):
+        path.write_text(json.dumps(_fuzzed_matrix_doc(rng)))
+        codes.add(_clean_exit(capsys, ["search", str(path)]))
+    assert codes == {0, 1, 2}
+    for i, doc in enumerate([{"model": "crossed_fields", "j": "1/2", "params": {"a": 1.0, "b": 2.0}},
+                             {"model": "toy_coupled", "j1": "1/2", "j2": "1", "params": {"A": 1.0, "B": 0.5}}]):
+        model = write_model(tmp_path, doc, f"model{i}.json")
+        for text in ROTATION_TEXTS:
+            _clean_exit(capsys, ["verify", model, "--rotation", text])
 
 
 # Every option string and positional of the CLI. A change that adds a knob

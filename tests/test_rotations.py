@@ -11,12 +11,11 @@ from chiralspin.rotations import (
     RotationSpec,
     composite_matrix,
     parse_angle,
-    rotation_identity_residual,
     rotation_matrix,
     unit_axis,
 )
 
-from helpers import anticommutator, random_unit_vector
+from helpers import anticommutator, random_unit_vector, rotation_identity_residual
 
 
 def test_parse_angle_literals():
