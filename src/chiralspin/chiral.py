@@ -11,14 +11,13 @@ from enum import Enum
 import numpy as np
 
 from . import linalg
-from .angmom import SpinLabel, build_spin_operators
+from .angmom import MAX_HILBERT_DIM, SpinLabel, build_spin_operators
 from .rotations import (
     CompositeRotation,
     RotationSpec,
     X_AXIS,
     Y_AXIS,
     Z_AXIS,
-    rotation_matrix,
 )
 
 __all__ = [
@@ -145,22 +144,32 @@ def search_partners(h, dims, tol: float = DEFAULT_TOL) -> list[tuple[CompositeRo
     a level of the walk: the slots of dimension >= 2 multiply to at most
     MAX_HILBERT_DIM = 1024, so the walk is at most 10 levels deep.
 
-    The enumeration is a depth-first walk over those slots. The identity and
-    the rotation factors of each slot dimension are built once per call, and
-    a prefix P on the first slots S grows by ``linalg.kron`` in the order
-    ``composite_matrix`` uses, so every candidate that reaches ``classify``
-    is the matrix ``composite_matrix`` would build. A prefix is cut, with
-    every candidate that extends it, when
+    The enumeration is a depth-first walk over those slots. The seven
+    factors of each slot dimension are built once per call, from one
+    eigendecomposition of n.J per axis. A prefix P on the first slots S is
+    cut, with every candidate that extends it, when
 
         ||P H_S P^dagger + H_S||_F >= 2 max(tol, n eps) sqrt(n / d_rest) ||H||_F
 
     where n = dim H, d_rest = n / dim P and H_S = tr_rest(H) / d_rest is H
-    traced over the slots after S. No candidate that ``classify`` accepts is
-    cut: for a unitary C = P (x) R, ||{C, H}||_F = ||C H C^dagger + H||_F,
+    traced over the slots after S; on the last slot d_rest = 1 and H_S = H,
+    so a full candidate C reaches ``classify`` only if it passes the cut
+    against H itself. No candidate that ``classify`` accepts is cut: for a
+    unitary C = P (x) R, ||{C, H}||_F = ||C H C^dagger + H||_F,
     tr_rest(C H C^dagger) = P tr_rest(H) P^dagger and ||tr_rest X||_F <=
-    sqrt(d_rest) ||X||_F, so acceptance, ||{C, H}||_F < tol sqrt(n) ||H||_F,
-    puts the prefix below half the cut. The factor 2 and the floor n eps
-    absorb rounding.
+    sqrt(d_rest) ||X||_F (an equality at d_rest = 1), so acceptance,
+    ||{C, H}||_F < tol sqrt(n) ||H||_F, puts every prefix below half its
+    cut. The factor 2 and the floor n eps absorb rounding.
+
+    All children P (x) R of a prefix (dim D) on the next slot (dim d) are
+    judged at once: with G = (P (x) 1) H_S (P (x) 1)^dagger formed once,
+    (P (x) R) H_S (P (x) R)^dagger = (1 (x) R) G (1 (x) R)^dagger, which is
+    two batched matmuls against the stack of factors R on G reshaped to
+    (D, d, D d). The stack is taken in chunks of at most MAX_HILBERT_DIM^2
+    entries, one H at the size cap, and the chunks are freed before the walk
+    goes deeper. Only the children that pass are built, by ``linalg.kron`` in
+    the order ``composite_matrix`` uses, so every candidate that reaches
+    ``classify`` is the matrix ``composite_matrix`` would build.
     """
     h = linalg.as_matrix(h)
     dims = tuple(int(d) for d in dims)
@@ -171,41 +180,75 @@ def search_partners(h, dims, tol: float = DEFAULT_TOL) -> list[tuple[CompositeRo
         )
     if any(d < 1 for d in dims):
         raise ValueError(f"subsystem dimensions must be positive, got {dims}")
-    choices = [(axis, angle) for axis in DEFAULT_SEARCH_AXES for angle in DEFAULT_SEARCH_ANGLES]
     slots = [s for s, d in enumerate(dims) if d > 1]
+    if not slots:
+        return []
+    choices = [(axis, angle) for axis in DEFAULT_SEARCH_AXES for angle in DEFAULT_SEARCH_ANGLES]
     factors = {}
     for d in {dims[s] for s in slots}:
         ops = build_spin_operators(SpinLabel(d - 1))
-        factors[d] = [linalg.identity(d)] + [
-            rotation_matrix(RotationSpec(0, axis, angle), ops) for axis, angle in choices
-        ]
+        table = [linalg.identity(d)]
+        for axis in DEFAULT_SEARCH_AXES:
+            eig = linalg.hermitian_eigensolve(ops.along(axis))
+            table += [linalg._spectral_exp(eig, angle) for angle in DEFAULT_SEARCH_ANGLES]
+        factors[d] = np.stack(table)
     # reduced[k] and cut[k] judge a prefix on the first k walked slots
     hnorm = linalg.frobenius(h)
     tol_floor = max(tol, n * np.finfo(float).eps)
     reduced, cut = [], []
-    d_s = 1
-    for s in slots:
+    for k in range(len(slots) + 1):
+        d_s = math.prod(dims[s] for s in slots[:k])
         d_rest = n // d_s
-        block = h.reshape(d_s, d_rest, d_s, d_rest)
-        reduced.append(np.trace(block, axis1=1, axis2=3) / d_rest)
+        # the last level judges against H itself; tracing over d_rest = 1
+        # would only copy it
+        reduced.append(h if d_rest == 1 else np.trace(
+            h.reshape(d_s, d_rest, d_s, d_rest), axis1=1, axis2=3) / d_rest)
         cut.append(2.0 * tol_floor * math.sqrt(n / d_rest) * hnorm)
-        d_s *= dims[s]
     picks = [0] * len(slots)
     found = []
 
     def walk(level, prefix):
-        if level == len(slots):
-            if any(picks) and (verdict := classify(prefix, h, tol)).kind is Symmetry.ANTICOMMUTING:
+        stack = factors[dims[slots[level]]]
+        for pick in _children_below_cut(prefix, stack, reduced[level + 1], cut[level + 1]):
+            picks[level] = pick
+            child = linalg.kron(prefix, stack[pick])
+            if level + 1 < len(slots):
+                walk(level + 1, child)
+            elif any(picks) and (verdict := classify(child, h, tol)).kind is Symmetry.ANTICOMMUTING:
                 found.append((CompositeRotation(tuple(
                     RotationSpec(s, *choices[p - 1]) for s, p in zip(slots, picks) if p
                 )), verdict))
-            return
-        h_s = reduced[level]
-        if linalg.frobenius(prefix @ h_s @ prefix.conj().T + h_s) >= cut[level]:
-            return
-        for pick, factor in enumerate(factors[dims[slots[level]]]):
-            picks[level] = pick
-            walk(level + 1, linalg.kron(prefix, factor))
 
-    walk(0, np.ones((1, 1), dtype=np.complex128))
+    if linalg.frobenius(2.0 * reduced[0]) < cut[0]:
+        walk(0, np.ones((1, 1), dtype=np.complex128))
     return found
+
+
+def _children_below_cut(prefix, stack, h_s, cut) -> list[int]:
+    """The indices in ``stack`` of the factors R for which
+    ||(P (x) R) H_S (P (x) R)^dagger + H_S||_F < cut, with P = ``prefix``. G
+    and the blocks live only in this call, so they are freed before the walk
+    goes deeper."""
+    big, d = prefix.shape[0], stack.shape[1]
+    m = big * d
+    # g[a, i, b, j] = G[(a, i), (b, j)]: P from the left, then P^dagger from
+    # the right as one matmul on the (a, i, j) x b transpose
+    g = (prefix @ h_s.reshape(big, -1)).reshape(big, d, big, d).transpose(0, 1, 3, 2)
+    g = (g.reshape(-1, big) @ prefix.conj().T).reshape(big, d, d, big)
+    g = g.transpose(0, 1, 3, 2).reshape(big, d, m)
+    chunk = max(1, MAX_HILBERT_DIM ** 2 // m ** 2)
+    keep = []
+    for start in range(0, len(stack), chunk):
+        r = stack[start:start + chunk]
+        x = (r[:, None] @ g).reshape(len(r), m * big, d) @ r.conj().transpose(0, 2, 1)
+        x = x.reshape(len(r), m, m)
+        x += h_s
+        # every child's sum of squares in one call; a norm outside
+        # frobenius's safe range is taken again by frobenius itself
+        v = x.view(np.float64).reshape(len(r), -1)
+        for i, norm in enumerate(np.sqrt(np.einsum("ij,ij->i", v, v)).tolist()):
+            if not 1e-150 < norm < 1e150:
+                norm = linalg.frobenius(x[i])
+            if norm < cut:
+                keep.append(start + i)
+    return keep

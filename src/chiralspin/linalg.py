@@ -128,6 +128,11 @@ def unitary_exp(generator, t: float) -> np.ndarray:
     t = float(t)
     if not math.isfinite(t):
         raise ValueError("angle must be finite")
-    eig = hermitian_eigensolve(generator)
+    return _spectral_exp(hermitian_eigensolve(generator), t)
+
+
+def _spectral_exp(eig: EigenDecomposition, t: float) -> np.ndarray:
+    """exp(-i t A) from the eigendecomposition of A: one decomposition
+    serves every angle about the same generator."""
     phases = np.exp(-1j * t * eig.eigenvalues)
     return (eig.eigenvectors * phases) @ eig.eigenvectors.conj().T

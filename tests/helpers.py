@@ -261,9 +261,12 @@ def spin_chain(rng, dims, coupling="xy", fields=False):
     h = np.zeros((n, n), dtype=np.complex128)
     for i in range(len(dims) - 1):
         for a in coupling:
-            left = embed(getattr(ops[i], "j" + a), i, dims)
-            right = embed(getattr(ops[i + 1], "j" + a), i + 1, dims)
-            h += rng.uniform(0.5, 1.5) * (left @ right)
+            # the Kronecker product of the two factors in place is, entry for
+            # entry, embed(J_i^a) @ embed(J_{i+1}^a): each entry is one product
+            bond = np.ones((1, 1), dtype=np.complex128)
+            for s, d in enumerate(dims):
+                bond = linalg.kron(bond, getattr(ops[s], "j" + a) if s in (i, i + 1) else identity(d))
+            h += rng.uniform(0.5, 1.5) * bond
     if fields:
         for i, slot_ops in enumerate(ops):
             h += rng.uniform(-1.5, 1.5) * embed(slot_ops.jz, i, dims)

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from chiralspin import chiral, linalg, models
-from chiralspin.angmom import SpinLabel, build_spin_operators
+from chiralspin.angmom import MAX_HILBERT_DIM, SpinLabel, build_spin_operators
 from chiralspin.charpoly import SolveMethod, full_solve
 from chiralspin.chiral import (
     Symmetry,
@@ -411,6 +413,19 @@ def test_generated_searches_are_many_and_often_hit():
 def test_search_six_spin_chain_finds_alternating_partners(monkeypatch):
     dims = (2,) * 6
     h = spin_chain(np.random.default_rng(6), dims, "xy", fields=True)
+    classified = _counting_classify(monkeypatch)
+    hits = search_partners(h, dims)
+    assert [hit.describe() for hit, _ in hits] == [
+        "R[0,x](pi) * R[1,y](pi) * R[2,x](pi) * R[3,y](pi) * R[4,x](pi) * R[5,y](pi)",
+        "R[0,y](pi) * R[1,x](pi) * R[2,y](pi) * R[3,x](pi) * R[4,y](pi) * R[5,x](pi)",
+    ]
+    # brute force classifies all 7^6 - 1 = 117,648 candidates; the cut
+    # against H itself leaves classify the two hits
+    assert len(classified) == 2
+
+
+def _counting_classify(monkeypatch):
+    """Patch ``chiral.classify`` to record the dimension of every call."""
     classified = []
     original = chiral.classify
 
@@ -419,13 +434,85 @@ def test_search_six_spin_chain_finds_alternating_partners(monkeypatch):
         return original(c, hh, tol)
 
     monkeypatch.setattr(chiral, "classify", counting)
-    hits = search_partners(h, dims)
+    return classified
+
+
+def _traced_peak(f, *args):
+    """f(*args) and the peak bytes that tracemalloc, which sees numpy's
+    buffers, traces while it runs."""
+    tracemalloc.start()
+    try:
+        out = f(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def test_search_ten_spin_chain_at_the_size_cap(monkeypatch):
+    # dim 1024 = MAX_HILBERT_DIM: a block of children never holds more than
+    # one H, the temporaries are freed before classify, and only the two
+    # hits pass the cut against H itself
+    dims = (2,) * 10
+    n = 2 ** 10
+    h = spin_chain(np.random.default_rng(6), dims, "xy", fields=True)
+    classified = _counting_classify(monkeypatch)
+    hits, peak = _traced_peak(search_partners, h, dims)
     assert [hit.describe() for hit, _ in hits] == [
-        "R[0,x](pi) * R[1,y](pi) * R[2,x](pi) * R[3,y](pi) * R[4,x](pi) * R[5,y](pi)",
-        "R[0,y](pi) * R[1,x](pi) * R[2,y](pi) * R[3,x](pi) * R[4,y](pi) * R[5,x](pi)",
+        " * ".join(f"R[{s},{'xy'[(s + k) % 2]}](pi)" for s in range(10)) for k in (0, 1)
     ]
-    # brute force classifies all 7^6 - 1 = 117,648 candidates
-    assert 2 <= len(classified) < 100
+    assert classified == [n, n]
+    assert peak <= 6 * 16 * n * n
+
+
+@pytest.mark.parametrize("k", (8, 9))
+def test_search_peak_memory_below_the_size_cap(k):
+    # chunks of up to 7 children hold more than one H below the cap, and
+    # still stay under the bound that holds at dim 1024
+    dims = (2,) * k
+    h = spin_chain(np.random.default_rng(6), dims, "xy", fields=True)
+    hits, peak = _traced_peak(search_partners, h, dims)
+    assert len(hits) == 2
+    assert peak < 6 * 16 * MAX_HILBERT_DIM ** 2
+
+
+def _block_boundary_searches():
+    """Slot dims where the seven children of a prefix come in chunks of at
+    most MAX_HILBERT_DIM^2 entries: 6 + 1 at child dim 400, 4 + 3 at 512."""
+    cases = []
+    for d in (400, 512):
+        label = SpinLabel(d - 1)
+        # the one hit R[0,z](pi) is pick 5, in the second chunk at d = 512
+        crossed = models.build(CrossedFields(label, 0.75, -0.5)).hamiltonian
+        cases.append(pytest.param(crossed, (d,), ["R[0,z](pi)"], id=f"crossed-{d}"))
+        # hits at picks 1 and 3, both in the first chunk
+        jz = build_spin_operators(label).jz
+        cases.append(pytest.param(jz, (d,), ["R[0,x](pi)", "R[0,y](pi)"], id=f"jz-{d}"))
+    # child dim 400 on the last slot, after a walked spin-1/2 slot
+    chain = spin_chain(np.random.default_rng(5), (2, 200), "xy", fields=True)
+    alternating = ["R[0,x](pi) * R[1,y](pi)", "R[0,y](pi) * R[1,x](pi)"]
+    cases.append(pytest.param(chain, (2, 200), alternating, id="chain-2-200"))
+    return cases
+
+
+@pytest.mark.parametrize("h, dims, expected", _block_boundary_searches())
+def test_search_matches_brute_force_across_block_boundaries(h, dims, expected):
+    hits = search_partners(h, dims)
+    assert [hit.describe() for hit, _ in hits] == expected
+    assert _rotations(hits) == brute_force_search(h, dims)
+    for hit, verdict in hits:
+        assert classify(composite_matrix(hit, dims), h) == verdict
+
+
+def test_generated_searches_classify_only_their_hits(monkeypatch):
+    # on every generated case each candidate that passes the cut against H
+    # itself is a hit
+    classified = _counting_classify(monkeypatch)
+    hits = 0
+    for case in _generated_searches():
+        hits += len(search_partners(*case.values[:2], **case.values[2]))
+    assert hits > 100
+    assert len(classified) == hits
 
 
 def test_odd_traces_vanish_for_chiral_model():
