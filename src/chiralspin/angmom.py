@@ -4,10 +4,15 @@ single-spin operators into tensor-product spaces. hbar = 1 throughout.
 Quantum numbers are carried as exact integers 2j and 2m; square roots are
 evaluated only when matrices are filled, so no drift accumulates in the
 bookkeeping.
+
+The operators of a spin of dimension at most ``CACHE_MAX_DIM`` are built once
+per process and shared: their arrays are read-only, so a caller that wants to
+change one copies it first. Every other array this module returns is fresh.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -17,6 +22,7 @@ import numpy as np
 from .linalg import as_matrix, identity, kron
 
 __all__ = [
+    "CACHE_MAX_DIM",
     "MAX_HILBERT_DIM",
     "SpinLabel",
     "SpinOperators",
@@ -27,6 +33,12 @@ __all__ = [
 # Largest Hilbert-space dimension any model or operator may have. Every dense
 # complex matrix at this size takes 16 MiB, and a command holds a handful.
 MAX_HILBERT_DIM = 1024
+
+# Spin operators, and the partner search's rotation factors, of a dimension up
+# to this bound are kept for the life of the process: all of them together
+# take under 2.5 MB. Above it they are built per call, since one spin's six
+# operators take 96 MB at dim 1024.
+CACHE_MAX_DIM = 32
 
 
 @dataclass(frozen=True, order=True)
@@ -124,13 +136,22 @@ def build_spin_operators(label) -> SpinOperators:
     superdiagonal with elements sqrt(j(j+1) - m(m+1)). Jx = (J+ + J-)/2 and
     Jy = (J+ - J-)/2i, so for j=1 the familiar 3x3 matrices come out
     entry-for-entry.
+
+    The arrays are read-only. Up to dimension ``CACHE_MAX_DIM`` they are
+    built once per process and shared between callers.
     """
     label = SpinLabel.parse(label)
     if label.dim > MAX_HILBERT_DIM:
         raise ValueError(
             f"spin j = {label} has dimension {label.dim}, above the limit {MAX_HILBERT_DIM}"
         )
-    tj = label.twice_j
+    if label.dim <= CACHE_MAX_DIM:
+        return _cached_spin_operators(label.twice_j)
+    return _spin_operators(label.twice_j)
+
+
+def _spin_operators(tj: int) -> SpinOperators:
+    label = SpinLabel(tj)
     twice_m = np.arange(tj, -tj - 1, -2, dtype=np.int64)
     jz = np.diag(twice_m / 2.0).astype(np.complex128)
     # sqrt(j(j+1) - m(m+1)) from exact twice-integer quantum numbers
@@ -140,7 +161,12 @@ def build_spin_operators(label) -> SpinOperators:
     jx = 0.5 * (jplus + jminus)
     jy = -0.5j * (jplus - jminus)
     jsq = (tj * (tj + 2) / 4.0) * identity(label.dim)
+    for op in (jx, jy, jz, jplus, jminus, jsq):
+        op.setflags(write=False)
     return SpinOperators(label, jx, jy, jz, jplus, jminus, jsq)
+
+
+_cached_spin_operators = functools.cache(_spin_operators)
 
 
 def embed(op, slot: int, dims) -> np.ndarray:

@@ -4,6 +4,7 @@ of rotation products for anticommuting partners."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -11,7 +12,7 @@ from enum import Enum
 import numpy as np
 
 from . import linalg
-from .angmom import MAX_HILBERT_DIM, SpinLabel, build_spin_operators
+from .angmom import CACHE_MAX_DIM, MAX_HILBERT_DIM, SpinLabel, build_spin_operators
 from .rotations import (
     CompositeRotation,
     RotationSpec,
@@ -145,9 +146,10 @@ def search_partners(h, dims, tol: float = DEFAULT_TOL) -> list[tuple[CompositeRo
     MAX_HILBERT_DIM = 1024, so the walk is at most 10 levels deep.
 
     The enumeration is a depth-first walk over those slots. The seven
-    factors of each slot dimension are built once per call, from one
-    eigendecomposition of n.J per axis. A prefix P on the first slots S is
-    cut, with every candidate that extends it, when
+    factors of each slot dimension come from one eigendecomposition of n.J
+    per axis, made once per process up to dimension CACHE_MAX_DIM and once
+    per call above it. A prefix P on the first slots S is cut, with every
+    candidate that extends it, when
 
         ||P H_S P^dagger + H_S||_F >= 2 max(tol, n eps) sqrt(n / d_rest) ||H||_F
 
@@ -184,14 +186,7 @@ def search_partners(h, dims, tol: float = DEFAULT_TOL) -> list[tuple[CompositeRo
     if not slots:
         return []
     choices = [(axis, angle) for axis in DEFAULT_SEARCH_AXES for angle in DEFAULT_SEARCH_ANGLES]
-    factors = {}
-    for d in {dims[s] for s in slots}:
-        ops = build_spin_operators(SpinLabel(d - 1))
-        table = [linalg.identity(d)]
-        for axis in DEFAULT_SEARCH_AXES:
-            eig = linalg.hermitian_eigensolve(ops.along(axis))
-            table += [linalg._spectral_exp(eig, angle) for angle in DEFAULT_SEARCH_ANGLES]
-        factors[d] = np.stack(table)
+    factors = {d: _factor_table(d) for d in {dims[s] for s in slots}}
     # reduced[k] and cut[k] judge a prefix on the first k walked slots
     hnorm = linalg.frobenius(h)
     tol_floor = max(tol, n * np.finfo(float).eps)
@@ -222,6 +217,31 @@ def search_partners(h, dims, tol: float = DEFAULT_TOL) -> list[tuple[CompositeRo
     if linalg.frobenius(2.0 * reduced[0]) < cut[0]:
         walk(0, np.ones((1, 1), dtype=np.complex128))
     return found
+
+
+def _factor_table(d: int) -> np.ndarray:
+    """The stack of a slot's seven factors, the identity first and then
+    R_n(angle) for n in DEFAULT_SEARCH_AXES and angle in
+    DEFAULT_SEARCH_ANGLES, from one eigendecomposition of n.J per axis. It
+    is read-only; up to dimension CACHE_MAX_DIM it is built once per
+    process."""
+    if d <= CACHE_MAX_DIM:
+        return _cached_factor_table(d)
+    return _build_factor_table(d)
+
+
+def _build_factor_table(d: int) -> np.ndarray:
+    ops = build_spin_operators(SpinLabel(d - 1))
+    table = [linalg.identity(d)]
+    for axis in DEFAULT_SEARCH_AXES:
+        eig = linalg.hermitian_eigensolve(ops.along(axis))
+        table += [linalg._spectral_exp(eig, angle) for angle in DEFAULT_SEARCH_ANGLES]
+    table = np.stack(table)
+    table.setflags(write=False)
+    return table
+
+
+_cached_factor_table = functools.cache(_build_factor_table)
 
 
 def _children_below_cut(prefix, stack, h_s, cut) -> list[int]:

@@ -333,8 +333,6 @@ def _is_positive_integer(value) -> bool:
 
 
 def _entry_part(value) -> float:
-    if isinstance(value, bool):
-        raise TypeError("boolean matrix entry")
     try:
         return float(value)
     except OverflowError:  # an int beyond the double range, rejected as 1e400 is
@@ -355,11 +353,22 @@ def _matrix_from_doc(doc, origin):
     entries = doc["entries"]
     if not isinstance(entries, list) or len(entries) != n * n:
         raise ValueError(f"{origin}: expected {n * n} [re, im] entries")
+    # each entry unpacks as a pair, as ``re, im = entry`` unpacks it (a
+    # two-character string too), and every part is a number or a numeric
+    # string; an int beyond the double range reads as inf
     try:
-        flat = np.array([complex(_entry_part(re), _entry_part(im)) for re, im in entries])
+        if set(map(len, entries)) != {2}:
+            raise TypeError("matrix entries must be pairs")
+        parts = list(itertools.chain.from_iterable(entries))
+        if bool in set(map(type, parts)):
+            raise TypeError("boolean matrix entry")
+        try:
+            flat = np.fromiter(map(float, parts), float, len(parts))
+        except OverflowError:
+            flat = np.fromiter(map(_entry_part, parts), float, len(parts))
     except (TypeError, ValueError):
         raise ValueError(f"{origin}: entries must be [re, im] pairs of numbers") from None
-    h = linalg.require_hermitian(flat.reshape(n, n), f"{origin}: matrix")
+    h = linalg.require_hermitian(flat.view(np.complex128).reshape(n, n), f"{origin}: matrix")
     return h, dims
 
 

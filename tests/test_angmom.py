@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from chiralspin import linalg
-from chiralspin.angmom import SpinLabel, build_spin_operators, embed
+from chiralspin import angmom, linalg
+from chiralspin.angmom import CACHE_MAX_DIM, SpinLabel, build_spin_operators, embed
 
 from helpers import commutator, ladder_action_check
 
@@ -158,3 +158,22 @@ def test_ladder_matches_the_per_entry_formula_bit_for_bit():
             expected[k - 1, k] = 0.5 * math.sqrt(twice_j * (twice_j + 2) - twice_m * (twice_m + 2))
         assert jplus.dtype == expected.dtype, twice_j
         assert jplus.tobytes() == expected.tobytes(), twice_j
+
+
+OPERATOR_FIELDS = ("jx", "jy", "jz", "jplus", "jminus", "jsq")
+
+
+@pytest.mark.parametrize("twice_j", [0, 1, 4, CACHE_MAX_DIM - 1, CACHE_MAX_DIM])
+def test_spin_operators_are_read_only_and_equal_a_fresh_build(twice_j):
+    # up to dim CACHE_MAX_DIM one shared set per process; above it a new set
+    # per call, read-only as well
+    ops = build_spin_operators(SpinLabel(twice_j))
+    assert (build_spin_operators(str(SpinLabel(twice_j))) is ops) == (ops.dim <= CACHE_MAX_DIM)
+    fresh = angmom._spin_operators(twice_j)
+    assert fresh.j == ops.j
+    for name in OPERATOR_FIELDS:
+        a, b = getattr(ops, name), getattr(fresh, name)
+        assert a is not b
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+        with pytest.raises(ValueError):
+            a[0, 0] = 1.0

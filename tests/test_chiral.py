@@ -3,8 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from chiralspin import chiral, linalg, models
-from chiralspin.angmom import MAX_HILBERT_DIM, SpinLabel, build_spin_operators
+from chiralspin import angmom, chiral, linalg, models
+from chiralspin.angmom import CACHE_MAX_DIM, MAX_HILBERT_DIM, SpinLabel, build_spin_operators
 from chiralspin.charpoly import SolveMethod, full_solve
 from chiralspin.chiral import (
     Symmetry,
@@ -513,6 +513,83 @@ def test_generated_searches_classify_only_their_hits(monkeypatch):
         hits += len(search_partners(*case.values[:2], **case.values[2]))
     assert hits > 100
     assert len(classified) == hits
+
+
+def _counting_eigensolve(monkeypatch):
+    """Patch ``linalg.hermitian_eigensolve`` to record the dimension of every
+    call."""
+    solved = []
+    original = linalg.hermitian_eigensolve
+
+    def counting(h, *args, **kwargs):
+        solved.append(h.shape[0])
+        return original(h, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "hermitian_eigensolve", counting)
+    return solved
+
+
+@pytest.mark.parametrize("d", (2, 3, 4, CACHE_MAX_DIM))
+def test_cached_factor_table_is_a_fresh_build_and_read_only(d):
+    cached = chiral._factor_table(d)
+    assert chiral._factor_table(d) is cached
+    fresh = chiral._cached_factor_table.__wrapped__(d)
+    assert fresh is not cached
+    assert (fresh.shape, fresh.tobytes()) == (cached.shape, cached.tobytes())
+    with pytest.raises(ValueError):
+        cached[0, 0, 0] = 2.0
+
+
+def test_second_search_on_the_same_slot_dims_makes_no_eigensolve(monkeypatch):
+    built = models.build(ToyCoupled("1/2", "3/2", 0.8, -1.1))
+    first = search_partners(built.hamiltonian, built.dims)
+    solved = _counting_eigensolve(monkeypatch)
+    assert search_partners(built.hamiltonian, built.dims) == first
+    assert solved == []
+
+
+def test_factor_table_above_the_bound_is_built_per_call(monkeypatch):
+    d = 400
+    jz = build_spin_operators(SpinLabel(d - 1)).jz
+    size = chiral._cached_factor_table.cache_info().currsize
+    solved = _counting_eigensolve(monkeypatch)
+    for calls in (1, 2):
+        assert [hit.describe() for hit, _ in search_partners(jz, (d,))] == ["R[0,x](pi)", "R[0,y](pi)"]
+        # one eigendecomposition of n.J per axis
+        assert solved == [d] * 3 * calls
+    assert chiral._cached_factor_table.cache_info().currsize == size
+
+
+def test_caches_keep_no_entry_above_the_bound():
+    # a single cached table or operator set above the bound would be tens of
+    # MB: at d = 512, 29 MB and 25 MB
+    chiral._cached_factor_table.cache_clear()
+    angmom._cached_spin_operators.cache_clear()
+    jz = build_spin_operators(SpinLabel(511)).jz
+    assert len(search_partners(jz, (512,))) == 2
+    chiral._factor_table(CACHE_MAX_DIM + 1)
+    assert chiral._cached_factor_table.cache_info().currsize == 0
+    assert angmom._cached_spin_operators.cache_info().currsize == 0
+    # the bound itself is cached: one table, and the operators it was built from
+    chiral._factor_table(CACHE_MAX_DIM)
+    assert chiral._cached_factor_table.cache_info().currsize == 1
+    assert angmom._cached_spin_operators.cache_info().currsize == 1
+
+
+def test_eigensolver_failure_in_a_table_build_caches_nothing(monkeypatch):
+    def failing_eigensolver(*_args, **_kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    built = models.build(ToyCoupled("1", "5/2", 0.6, 1.3))
+    chiral._cached_factor_table.cache_clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "eigh", failing_eigensolver)
+        with pytest.raises(np.linalg.LinAlgError):
+            search_partners(built.hamiltonian, built.dims)
+    assert chiral._cached_factor_table.cache_info().currsize == 0
+    hits = search_partners(built.hamiltonian, built.dims)
+    assert hits
+    assert _rotations(hits) == brute_force_search(built.hamiltonian, built.dims)
 
 
 def test_odd_traces_vanish_for_chiral_model():

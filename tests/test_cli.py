@@ -379,6 +379,9 @@ def test_eigensolver_failure_exits_2(tmp_path, capsys, monkeypatch):
     def failing_eigensolver(*_args, **_kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
+    # a factor table cached by an earlier search would need no eigensolve
+    angmom._cached_spin_operators.cache_clear()
+    chiral._cached_factor_table.cache_clear()
     # both LAPACK drivers, so the failure reaches whichever one runs
     monkeypatch.setattr(np.linalg, "eigh", failing_eigensolver)
     monkeypatch.setattr(np.linalg, "eigvalsh", failing_eigensolver)
@@ -460,6 +463,56 @@ def test_search_rejects_non_numeric_matrix_entries(tmp_path, capsys, entry):
     code, out, err = run_cli(capsys, "search", str(path))
     assert (code, out) == (2, "")
     assert err == f"error: {path}: entries must be [re, im] pairs of numbers\n"
+
+
+# (entry at row 0, column 1 as JSON text, exit code, the end of stderr); the
+# entry at row 1, column 0 is [1.5, 0]
+ENTRY_TABLE = [
+    ('["1.5", 0]', 0, ""),
+    ('"12"', 2, "is not Hermitian"),
+    ("true", 2, "entries must be [re, im] pairs of numbers"),
+    ("null", 2, "entries must be [re, im] pairs of numbers"),
+    ('"pi"', 2, "entries must be [re, im] pairs of numbers"),
+    ("[1]", 2, "entries must be [re, im] pairs of numbers"),
+    ("[1, 0, 3]", 2, "entries must be [re, im] pairs of numbers"),
+    ('"ab"', 2, "entries must be [re, im] pairs of numbers"),
+    ("[1e400, 0]", 2, "matrix entries must be finite"),
+    (f"[{10**400}, 0]", 2, "matrix entries must be finite"),
+]
+
+
+@pytest.mark.parametrize("entry, code, message", ENTRY_TABLE)
+def test_matrix_entry_accept_reject_table(tmp_path, capsys, entry, code, message):
+    path = tmp_path / "matrix.json"
+    path.write_text(f'{{"dims": [2], "entries": [[0, 0], {entry}, [1.5, 0], [0, 0]]}}')
+    got, out, err = run_cli(capsys, "search", str(path))
+    assert got == code
+    if code == 0:
+        assert "R[0,z](pi)" in out and err == ""
+    else:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert err.split(" (")[0].rstrip().endswith(message)
+
+
+def test_matrix_entries_are_read_as_floats_in_pairs():
+    # a numeric string is a number; a two-character string is a pair
+    doc = {"dims": [2], "entries": [[0, 0], "12", [1, -2], ["-0.0", "0"]]}
+    h, dims = cli._matrix_from_doc(doc, "matrix.json")
+    assert dims == (2,)
+    assert h.tobytes() == np.array([[0, 1 + 2j], [1 - 2j, complex(-0.0, 0.0)]]).tobytes()
+
+
+def test_matrix_entries_match_the_per_entry_parse(rng):
+    # the reference reads one [re, im] pair at a time
+    for n in (1, 2, 7, 32):
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        h = (0.5 * (a + a.conj().T)) * rng.choice([5e-324, 1e-300, 1.0, 1e100], size=(n, n))
+        h = np.triu(h) + np.triu(h, 1).conj().T
+        h[0, 0] = complex(-0.0, -0.0)
+        entries = [[float(v.real), float(v.imag)] for v in h.reshape(-1)]
+        parsed, _ = cli._matrix_from_doc({"dims": [n], "entries": entries}, "matrix.json")
+        expected = np.array([complex(float(re), float(im)) for re, im in entries]).reshape(n, n)
+        assert parsed.tobytes() == expected.tobytes(), n
 
 
 def test_search_rejects_unrecognized_document(tmp_path, capsys):
